@@ -1,28 +1,22 @@
 // Scale benchmarks for the scheduling hot path (the ISSUE-2 tentpole):
 //
 //   * HEFT and ILHA on 1k/5k/10k-task random layered DAGs under both
-//     communication models, once per timeline implementation (reference
-//     sorted-vector vs gap-indexed vs calendar queue), so the indexed
-//     timelines' win -- and any future regression -- shows up directly
-//     in the timings; a 100k-task one-port tier (gap + calendar only)
-//     tracks the hot path at the scale the SoA/arena work targets;
+//     communication models, plus a 100k-task one-port tier tracking the
+//     hot path at the scale the CSR/arena work targets;
 //   * the same schedulers over sparse routed topologies (ring / star /
 //     random connected, plus the structured 2D mesh / torus / fat tree
 //     of ISSUE-4), so the store-and-forward evaluation path and the
-//     routed finish_lower_bound pruning in evaluate_best are measured
-//     too (ISSUE-3);
+//     routed lower-bound pruning in evaluate_best are measured too;
 //   * the figure-grid sweep driver run serially vs with the thread pool
 //     -- including a routed grid -- so the parallel experiment runner is
 //     tracked end to end;
 //   * the online rescheduler (src/dynamic) replaying named fault traces
-//     over the scale graphs, per timeline implementation, so the
-//     prefix-freeze + suffix-rebuild loop has its own trajectory;
-//   * the timelines under an adversarial middle-insert workload, with the
-//     gap timeline's deferred-compaction cost pinned by OP_ASSERT to its
-//     documented O(n * sqrt(n)) total -- a regression to quadratic
-//     middle-inserts aborts the bench instead of just slowing it; the
-//     calendar queue runs the same workload under its own
-//     timeline/calendar-* names with a linear shifted-segment pin.
+//     over the scale graphs, so the prefix-freeze + suffix-rebuild loop
+//     has its own trajectory;
+//   * the timeline under an adversarial middle-insert workload, with its
+//     deferred-compaction cost pinned by OP_ASSERT to the documented
+//     O(n * sqrt(n)) total -- a regression to quadratic middle-inserts
+//     aborts the bench instead of just slowing it.
 //
 // Every bench forwards the per-thread scalability profiler: run with
 // ONEPORT_PROFILE=1 and the hot-path counter aggregate appears as
@@ -30,9 +24,12 @@
 // OP_ASSERT proves no counter slab was ever allocated (the profiler's
 // zero-overhead-when-disabled contract).  See docs/PROFILING.md.
 //
-// Schedule makespans are exported as counters: the two timeline
-// implementations must agree bit-identically (the property sweep enforces
-// it; the counters make a violation visible from bench output too).
+// Schedule makespans are exported as counters, so a change in scheduling
+// behavior is visible from bench output too (the frozen-oracle table in
+// the property sweep pins it exactly).
+//
+// The timed benches keep the "/gap-indexed" suffix the trajectory
+// baseline has always used for the production timeline.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -56,7 +53,6 @@
 #include "dynamic/reschedule.hpp"
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
-#include "sched/calendar_timeline.hpp"
 #include "sched/timeline.hpp"
 #include "testbeds/testbeds.hpp"
 #include "util/error.hpp"
@@ -131,53 +127,39 @@ void register_scheduler_benchmarks() {
       {"heft-macro", EftEngine::Model::kMacroDataflow, false},
       {"ilha-macro", EftEngine::Model::kMacroDataflow, true},
   };
-  // The 100k tier tracks the end-to-end hot path at the scale the SoA /
-  // calendar work targets.  Only the one-port cases and the indexed
-  // timelines run there: the reference timeline's linear probe scans are
-  // quadratic-ish at this size and would dominate the bench budget
-  // without adding signal (the 30k differential tests already pin its
-  // bit-identical agreement).
+  // The 100k tier tracks the end-to-end hot path at the scale the CSR /
+  // arena work targets; only the one-port cases run there.
   const std::vector<SchedulerCase> oneport_cases = {all_cases[0],
                                                     all_cases[1]};
   for (const int n : {1000, 5000, 10000, 100000}) {
     const bool big = n >= 100000;
     const std::vector<SchedulerCase>& cases = big ? oneport_cases : all_cases;
-    const std::vector<TimelineImpl> impls =
-        big ? std::vector<TimelineImpl>{TimelineImpl::kGapIndexed,
-                                        TimelineImpl::kCalendar}
-            : std::vector<TimelineImpl>{TimelineImpl::kGapIndexed,
-                                        TimelineImpl::kCalendar,
-                                        TimelineImpl::kReference};
     for (const SchedulerCase& c : cases) {
-      for (const TimelineImpl impl : impls) {
-        const std::string name = "scale/n=" + std::to_string(n) + "/" +
-                                 c.name + "/" + timeline_impl_name(impl);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [n, c, impl](benchmark::State& state) {
-              const TaskGraph& graph = scale_graph(n);
-              const Platform& platform = paper_platform();
-              ScopedTimelineImpl guard(impl);
-              double makespan = 0.0;
-              prof::reset();
-              for (auto _ : state) {
-                const Schedule s =
-                    c.ilha ? ilha(graph, platform,
-                                  {.model = c.model, .chunk_size = 38})
-                           : heft(graph, platform, {.model = c.model});
-                makespan = s.makespan();
-                benchmark::DoNotOptimize(makespan);
-              }
-              state.counters["makespan"] = makespan;
-              state.counters["tasks"] =
-                  static_cast<double>(graph.num_tasks());
-              state.counters["tasks_per_s"] = benchmark::Counter(
-                  static_cast<double>(graph.num_tasks()),
-                  benchmark::Counter::kIsIterationInvariantRate);
-              attach_profile_counters(state);
-            })
-            ->Unit(benchmark::kMillisecond);
-      }
+      const std::string name =
+          "scale/n=" + std::to_string(n) + "/" + c.name + "/gap-indexed";
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [n, c](benchmark::State& state) {
+            const TaskGraph& graph = scale_graph(n);
+            const Platform& platform = paper_platform();
+            double makespan = 0.0;
+            prof::reset();
+            for (auto _ : state) {
+              const Schedule s =
+                  c.ilha ? ilha(graph, platform,
+                                {.model = c.model, .chunk_size = 38})
+                         : heft(graph, platform, {.model = c.model});
+              makespan = s.makespan();
+              benchmark::DoNotOptimize(makespan);
+            }
+            state.counters["makespan"] = makespan;
+            state.counters["tasks"] = static_cast<double>(graph.num_tasks());
+            state.counters["tasks_per_s"] = benchmark::Counter(
+                static_cast<double>(graph.num_tasks()),
+                benchmark::Counter::kIsIterationInvariantRate);
+            attach_profile_counters(state);
+          })
+          ->Unit(benchmark::kMillisecond);
     }
   }
 }
@@ -185,9 +167,8 @@ void register_scheduler_benchmarks() {
 void register_routed_benchmarks() {
   // The paper platform's processors over sparse interconnects.  Transfers
   // between non-adjacent processors become store-and-forward chains, so
-  // these timings cover the routed evaluation path end to end -- and the
-  // per-impl registration keeps the routed finish_lower_bound pruning
-  // honest across timeline implementations (makespans must match).
+  // these timings cover the routed evaluation path end to end, routed
+  // finish lower-bound pruning included.
   //
   // The structured networks (mesh/torus over the 10 paper processors as
   // 2x5 grids, a 2-level arity-3 fat tree recycling their speeds over 13
@@ -213,100 +194,37 @@ void register_routed_benchmarks() {
   for (const int n : {1000, 5000}) {
     for (const TopologyCase& t : topologies) {
       for (const bool run_ilha : {false, true}) {
-        for (const TimelineImpl impl :
-             {TimelineImpl::kGapIndexed, TimelineImpl::kReference}) {
-          const std::string name =
-              std::string("routed/") + t.display + "/n=" + std::to_string(n) +
-              "/" + (run_ilha ? "ilha-oneport" : "heft-oneport") + "/" +
-              timeline_impl_name(impl);
-          benchmark::RegisterBenchmark(
-              name.c_str(),
-              [n, t, run_ilha, impl](benchmark::State& state) {
-                const TaskGraph& graph = scale_graph(n);
-                // The process-wide cache shares one platform + table per
-                // (topology, seed) across all registered benches.
-                const std::shared_ptr<const RoutedPlatform> shared =
-                    analysis::shared_topology_platform(
-                        t.topology, paper_platform().cycle_times(),
-                        /*link=*/1.0, t.seed);
-                const RoutedPlatform& routed = *shared;
-                ScopedTimelineImpl guard(impl);
-                double makespan = 0.0;
-                prof::reset();
-                for (auto _ : state) {
-                  const Schedule s =
-                      run_ilha
-                          ? ilha(graph, routed.platform,
-                                 {.model = EftEngine::Model::kOnePort,
-                                  .chunk_size = 38,
-                                  .routing = &routed.routing})
-                          : heft(graph, routed.platform,
-                                 {.model = EftEngine::Model::kOnePort,
-                                  .routing = &routed.routing});
-                  makespan = s.makespan();
-                  benchmark::DoNotOptimize(makespan);
-                }
-                state.counters["makespan"] = makespan;
-                state.counters["tasks_per_s"] = benchmark::Counter(
-                    static_cast<double>(graph.num_tasks()),
-                    benchmark::Counter::kIsIterationInvariantRate);
-                attach_profile_counters(state);
-              })
-              ->Unit(benchmark::kMillisecond);
-        }
-      }
-    }
-  }
-}
-
-void register_reschedule_benchmarks() {
-  // Online rescheduling (the dynamic-events tentpole): replay a named
-  // platform-fault trace over the scale graphs through dyn::run_dynamic.
-  // Each event freezes the committed prefix and rebuilds the suffix, so
-  // the timing covers trace derivation's consumers end to end: prefix
-  // seeding into pre-reserved timelines, the heuristic re-run against the
-  // mutated platform, and epoch composition.  Registered per timeline
-  // implementation because the rebuild path leans on next_fit/reserve far
-  // harder than a static run (every epoch re-seeds the whole frozen
-  // prefix) -- exactly the workload the deferred-compaction buffer
-  // exists for.
-  for (const int n : {1000, 5000}) {
-    for (const char* trace_name : {"mixed", "dropout"}) {
-      for (const TimelineImpl impl :
-           {TimelineImpl::kGapIndexed, TimelineImpl::kReference}) {
-        const std::string name = "reschedule/n=" + std::to_string(n) +
-                                 "/heft-oneport/" + trace_name + "/" +
-                                 timeline_impl_name(impl);
+        const std::string name =
+            std::string("routed/") + t.display + "/n=" + std::to_string(n) +
+            "/" + (run_ilha ? "ilha-oneport" : "heft-oneport") +
+            "/gap-indexed";
         benchmark::RegisterBenchmark(
             name.c_str(),
-            [n, trace_name, impl](benchmark::State& state) {
+            [n, t, run_ilha](benchmark::State& state) {
               const TaskGraph& graph = scale_graph(n);
-              const Platform& platform = paper_platform();
-              ScopedTimelineImpl guard(impl);
-              const SchedulerConfig config;
-              const SchedulerEntry entry =
-                  find_scheduler("heft-oneport", config);
-              // The trace derives from the static schedule's makespan;
-              // both impls produce bit-identical schedules (property
-              // sweep), so the trace is impl-independent.
-              const Schedule initial = entry.run(graph, platform);
-              const dyn::EventTrace trace = dyn::make_named_trace(
-                  trace_name, graph, platform, initial,
-                  /*seed=*/20260729u + static_cast<std::uint64_t>(n));
-              dyn::DynamicOptions options;
-              options.model = CommModel::kOnePort;
+              // The process-wide cache shares one platform + table per
+              // (topology, seed) across all registered benches.
+              const std::shared_ptr<const RoutedPlatform> shared =
+                  analysis::process_topology_cache().get(
+                      t.topology, paper_platform().cycle_times(),
+                      /*link=*/1.0, t.seed);
+              const RoutedPlatform& routed = *shared;
               double makespan = 0.0;
-              double epochs = 0.0;
               prof::reset();
               for (auto _ : state) {
-                const dyn::DynamicResult result = dyn::run_dynamic(
-                    graph, platform, "heft-oneport", config, trace, options);
-                makespan = result.schedule.makespan();
-                epochs = static_cast<double>(result.epochs.size());
+                const Schedule s =
+                    run_ilha
+                        ? ilha(graph, routed.platform,
+                               {.model = EftEngine::Model::kOnePort,
+                                .chunk_size = 38,
+                                .routing = &routed.routing})
+                        : heft(graph, routed.platform,
+                               {.model = EftEngine::Model::kOnePort,
+                                .routing = &routed.routing});
+                makespan = s.makespan();
                 benchmark::DoNotOptimize(makespan);
               }
               state.counters["makespan"] = makespan;
-              state.counters["epochs"] = epochs;
               state.counters["tasks_per_s"] = benchmark::Counter(
                   static_cast<double>(graph.num_tasks()),
                   benchmark::Counter::kIsIterationInvariantRate);
@@ -318,116 +236,97 @@ void register_reschedule_benchmarks() {
   }
 }
 
-void register_timeline_benchmarks() {
-  // Adversarial middle-insert workload (the deferred-compaction bugfix):
-  // lay down n well-separated blocks, then reserve a sliver inside every
-  // interior gap in a deterministic scattered order.  Appends never hit
-  // the buffer, so this is pure middle-insert traffic.  The OP_ASSERT
-  // pins the gap timeline's total shifted/merged elements at the
-  // documented 8 * n * sqrt(n) -- if compaction regresses to an O(n)
-  // vector insert per reservation the total goes quadratic (~n^2/2
-  // already at n=4096) and the bench aborts rather than just reading
-  // slower.  The reference timeline runs the same workload for the
-  // speedup trajectory.
-  for (const int n : {4096, 16384}) {
-    for (const TimelineImpl impl :
-         {TimelineImpl::kGapIndexed, TimelineImpl::kReference}) {
-      const std::string name = "timeline/middle-insert/n=" +
-                               std::to_string(n) + "/" +
-                               timeline_impl_name(impl);
+void register_reschedule_benchmarks() {
+  // Online rescheduling (the dynamic-events tentpole): replay a named
+  // platform-fault trace over the scale graphs through dyn::run_dynamic.
+  // Each event freezes the committed prefix and rebuilds the suffix, so
+  // the timing covers trace derivation's consumers end to end: prefix
+  // seeding into pre-reserved timelines, the heuristic re-run against the
+  // mutated platform, and epoch composition.  The rebuild path leans on
+  // next_fit/reserve far harder than a static run (every epoch re-seeds
+  // the whole frozen prefix) -- exactly the workload the timeline's
+  // deferred-compaction buffer exists for.
+  for (const int n : {1000, 5000}) {
+    for (const char* trace_name : {"mixed", "dropout"}) {
+      const std::string name = "reschedule/n=" + std::to_string(n) +
+                               "/heft-oneport/" + trace_name + "/gap-indexed";
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [n, impl](benchmark::State& state) {
-            const auto blocks = static_cast<std::size_t>(n);
-            std::size_t moved = 0;
+          [n, trace_name](benchmark::State& state) {
+            const TaskGraph& graph = scale_graph(n);
+            const Platform& platform = paper_platform();
+            const SchedulerConfig config;
+            const SchedulerEntry entry = find_scheduler("heft-oneport", config);
+            // The trace derives from the static schedule's makespan.
+            const Schedule initial = entry.run(graph, platform);
+            const dyn::EventTrace trace = dyn::make_named_trace(
+                trace_name, graph, platform, initial,
+                /*seed=*/20260729u + static_cast<std::uint64_t>(n));
+            dyn::DynamicOptions options;
+            options.model = CommModel::kOnePort;
+            double makespan = 0.0;
+            double epochs = 0.0;
+            prof::reset();
             for (auto _ : state) {
-              if (impl == TimelineImpl::kGapIndexed) {
-                GapTimeline t;
-                for (std::size_t i = 0; i < blocks; ++i) {
-                  const double base = 4.0 * static_cast<double>(i);
-                  t.reserve(base, base + 1.0);
-                }
-                // Scattered order via a coprime stride so consecutive
-                // inserts land in distant gaps and the cursor never saves
-                // the day.
-                for (std::size_t k = 0; k < blocks - 1; ++k) {
-                  const std::size_t i = (k * 2654435761u) % (blocks - 1);
-                  const double base = 4.0 * static_cast<double>(i);
-                  t.reserve(base + 2.0, base + 2.5);
-                }
-                moved = t.stats().moved_elements;
-                benchmark::DoNotOptimize(moved);
-              } else {
-                Timeline t;
-                for (std::size_t i = 0; i < blocks; ++i) {
-                  const double base = 4.0 * static_cast<double>(i);
-                  t.reserve(base, base + 1.0);
-                }
-                for (std::size_t k = 0; k < blocks - 1; ++k) {
-                  const std::size_t i = (k * 2654435761u) % (blocks - 1);
-                  const double base = 4.0 * static_cast<double>(i);
-                  t.reserve(base + 2.0, base + 2.5);
-                }
-                benchmark::DoNotOptimize(t.busy_time());
-              }
+              const dyn::DynamicResult result = dyn::run_dynamic(
+                  graph, platform, "heft-oneport", config, trace, options);
+              makespan = result.schedule.makespan();
+              epochs = static_cast<double>(result.epochs.size());
+              benchmark::DoNotOptimize(makespan);
             }
-            if (impl == TimelineImpl::kGapIndexed) {
-              const double bound =
-                  8.0 * static_cast<double>(blocks) *
-                  std::sqrt(static_cast<double>(blocks));
-              OP_ASSERT(static_cast<double>(moved) <= bound,
-                        "gap timeline middle-insert compaction went "
-                        "quadratic: moved " +
-                            std::to_string(moved) + " elements, bound " +
-                            std::to_string(bound));
-              state.counters["moved_elements"] = static_cast<double>(moved);
-            }
-            state.counters["reservations"] =
-                static_cast<double>(2 * blocks - 1);
+            state.counters["makespan"] = makespan;
+            state.counters["epochs"] = epochs;
+            state.counters["tasks_per_s"] = benchmark::Counter(
+                static_cast<double>(graph.num_tasks()),
+                benchmark::Counter::kIsIterationInvariantRate);
             attach_profile_counters(state);
           })
           ->Unit(benchmark::kMillisecond);
     }
   }
+}
 
-  // The calendar queue under the same adversarial scattered middle-insert
-  // workload (its own name group so the trajectory gate tracks it as
-  // timeline/calendar-*).  Bucketed inserts touch one bucket each and the
-  // bucket array rebuilds only on occupancy/range growth, so the total
-  // shifted-segment count is linear in the reservations with a small
-  // constant; the OP_ASSERT pins that at 32n -- a regression to per-insert
-  // shifting (~n^2/2 at n=4096) aborts the bench.
+void register_timeline_benchmarks() {
+  // Adversarial middle-insert workload (the deferred-compaction bugfix):
+  // lay down n well-separated blocks, then reserve a sliver inside every
+  // interior gap in a deterministic scattered order.  Appends never hit
+  // the buffer, so this is pure middle-insert traffic.  The OP_ASSERT
+  // pins the timeline's total shifted/merged elements at the documented
+  // 8 * n * sqrt(n) -- if compaction regresses to an O(n) vector insert
+  // per reservation the total goes quadratic (~n^2/2 already at n=4096)
+  // and the bench aborts rather than just reading slower.
   for (const int n : {4096, 16384}) {
-    const std::string name = "timeline/calendar-insert/n=" + std::to_string(n);
+    const std::string name =
+        "timeline/middle-insert/n=" + std::to_string(n) + "/gap-indexed";
     benchmark::RegisterBenchmark(
         name.c_str(),
         [n](benchmark::State& state) {
           const auto blocks = static_cast<std::size_t>(n);
-          std::size_t shifted = 0;
-          prof::reset();
+          std::size_t moved = 0;
           for (auto _ : state) {
-            CalendarTimeline t;
+            TimelineIndex t;
             for (std::size_t i = 0; i < blocks; ++i) {
               const double base = 4.0 * static_cast<double>(i);
               t.reserve(base, base + 1.0);
             }
+            // Scattered order via a coprime stride so consecutive inserts
+            // land in distant gaps and the cursor never saves the day.
             for (std::size_t k = 0; k < blocks - 1; ++k) {
               const std::size_t i = (k * 2654435761u) % (blocks - 1);
               const double base = 4.0 * static_cast<double>(i);
               t.reserve(base + 2.0, base + 2.5);
             }
-            shifted = t.stats().shifted_segments;
-            benchmark::DoNotOptimize(shifted);
+            moved = t.stats().moved_elements;
+            benchmark::DoNotOptimize(moved);
           }
-          const double bound = 32.0 * static_cast<double>(blocks);
-          OP_ASSERT(static_cast<double>(shifted) <= bound,
-                    "calendar timeline middle-inserts stopped amortizing: "
-                    "shifted "
-                        << shifted << " segments, bound " << bound);
-          state.counters["shifted_segments"] =
-              static_cast<double>(shifted);
-          state.counters["reservations"] =
-              static_cast<double>(2 * blocks - 1);
+          const double bound = 8.0 * static_cast<double>(blocks) *
+                               std::sqrt(static_cast<double>(blocks));
+          OP_ASSERT(static_cast<double>(moved) <= bound,
+                    "timeline middle-insert compaction went quadratic: "
+                    "moved " + std::to_string(moved) + " elements, bound " +
+                        std::to_string(bound));
+          state.counters["moved_elements"] = static_cast<double>(moved);
+          state.counters["reservations"] = static_cast<double>(2 * blocks - 1);
           attach_profile_counters(state);
         })
         ->Unit(benchmark::kMillisecond);

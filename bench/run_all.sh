@@ -12,7 +12,7 @@
 # JSON goes to OUT_DIR via --benchmark_out, so both artifacts survive.
 #
 # The gated trajectory set (scale/ incl. the n=100000 tier, routed/,
-# reschedule/, timeline/ incl. the calendar-* group) all live in
+# reschedule/, timeline/) all live in
 # bench_scale and ride through here like any other binary.  Run with
 # ONEPORT_PROFILE=1 to add the per-thread scalability counters as
 # prof_<name> entries to every JSON artifact (docs/PROFILING.md).

@@ -157,9 +157,9 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
     sparse = cache != nullptr
                  ? cache->get(point.topology, platform.cycle_times(),
                               /*link=*/1.0, point.topology_seed)
-                 : shared_topology_platform(point.topology,
-                                            platform.cycle_times(),
-                                            /*link=*/1.0, point.topology_seed);
+                 : process_topology_cache().get(
+                       point.topology, platform.cycle_times(),
+                       /*link=*/1.0, point.topology_seed);
   }
   const Platform& target = routed ? sparse->platform : platform;
   const SchedulerConfig config{
@@ -243,12 +243,6 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepPoint>& grid,
     results[i] = run_sweep_point(grid[i], platform, options);
   });
   return results;
-}
-
-std::shared_ptr<const RoutedPlatform> shared_topology_platform(
-    const std::string& topology, const std::vector<double>& cycle_times,
-    double link, std::uint64_t seed) {
-  return process_topology_cache().get(topology, cycle_times, link, seed);
 }
 
 csv::Table sweep_table(const std::vector<SweepResult>& rows) {

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,9 +75,9 @@ struct SweepPoint {
   /// "mesh4x4:het0.5:swp") -- rebuilds a sparse platform from that
   /// platform's cycle times (unit base link cost) and schedules
   /// store-and-forward chains along its routed paths.  Routed platforms
-  /// come from the process-wide shared_topology_platform cache, so a
-  /// grid sweep builds each (topology, seed) network once instead of
-  /// once per point.
+  /// come from the process-wide `process_topology_cache()`, so a grid
+  /// sweep builds each (topology, seed) network once instead of once per
+  /// point.
   std::string topology = "full";
   /// Seed for the "random" topology and the seeded ':het'/':hot' link
   /// cost generators.
@@ -183,28 +182,5 @@ struct SweepOptions {
 
 /// Formats sweep results as one row per grid point.
 [[nodiscard]] csv::Table sweep_table(const std::vector<SweepResult>& rows);
-
-/// Process-wide routed-platform cache for grid sweeps (ROADMAP item):
-/// keyed by (topology name, seed, link, cycle times), the first call per
-/// key builds the platform and its RoutingTable (Floyd-Warshall for the
-/// unstructured names and the ':swp' policy, XY/alternating/up-down
-/// construction for mesh/torus/fattree); every later call -- from any
-/// worker thread -- returns the same immutable instance.  A topology x
-/// testbed x size x scheduler grid therefore builds each network once
-/// instead of once per grid point.  The full suffixed name is the key's
-/// first component and the seed its second, so "mesh3x3",
-/// "mesh3x3:swp", and "mesh3x3:het0.5" (or the same ':het' shape under
-/// two seeds) can never alias; cycle times participate too, so two
-/// sweeps over different base platforms stay distinct.
-///
-/// Since the scheduler-service PR this is a compatibility shim over the
-/// sharded cache (analysis/topology_cache.hpp): calls route by key hash
-/// through `process_topology_cache()`, so distinct networks build under
-/// distinct locks.  The old single-mutex global path is gone; the
-/// one-instance-per-key contract is unchanged and still pinned by
-/// tests/concurrency_stress_test.cpp.
-[[nodiscard]] std::shared_ptr<const RoutedPlatform> shared_topology_platform(
-    const std::string& topology, const std::vector<double>& cycle_times,
-    double link = 1.0, std::uint64_t seed = 1);
 
 }  // namespace oneport::analysis

@@ -1,9 +1,18 @@
-// Sharded routed-platform cache (the service tentpole's contention fix).
+// Sharded routed-platform cache.
 //
-// PR 3 introduced a process-wide cache behind a single mutex
-// (`shared_topology_platform`); profiling the scheduler service showed
-// every worker serializing on that one lock even on pure cache *hits*.
-// This header splits the cache into independently locked shards:
+// Grid sweeps and the scheduler service resolve the same routed networks
+// over and over.  The cache is keyed by (topology name, seed, link, cycle
+// times): the first call per key builds the platform and its RoutingTable
+// (Floyd-Warshall for the unstructured names and the ':swp' policy,
+// XY/alternating/up-down construction for mesh/torus/fattree), and every
+// later call -- from any thread -- returns the same immutable instance.
+// The full suffixed name is the key's first component and the seed its
+// second, so "mesh3x3", "mesh3x3:swp" and "mesh3x3:het0.5" (or one ':het'
+// shape under two seeds) never alias; cycle times participate too, so
+// sweeps over different base platforms stay distinct.
+//
+// A single global lock made every worker serialize even on pure cache
+// *hits*, so the cache is split into independently locked shards:
 //
 //   * `TopologyCacheShard` is the unit of ownership -- one mutex, one
 //     map, and the documented first-insert-wins contract: values are
@@ -19,11 +28,9 @@
 //     `get`, which spreads distinct topologies across shards so two
 //     workers building different networks no longer serialize.
 //
-// The legacy entry point `analysis::shared_topology_platform`
-// (experiment.hpp) is now a thin shim over the process-wide instance
-// returned by `process_topology_cache()`; the old single-global
-// single-mutex path is gone.  The one-instance-per-key contract is
-// pinned by tests/concurrency_stress_test.cpp (via the shim) and
+// Shardless callers use the process-wide instance returned by
+// `process_topology_cache()`.  The one-instance-per-key contract is
+// pinned by tests/concurrency_stress_test.cpp (hash-routed lookups) and
 // tests/service_test.cpp (per shard, under concurrent lookups).
 #pragma once
 
@@ -102,10 +109,10 @@ class ShardedTopologyCache {
   std::vector<TopologyCacheShard> shards_;
 };
 
-/// The process-wide sharded instance behind the
-/// `shared_topology_platform` shim.  Leaked intentionally (like the
-/// timeline/graph default slots): cached routing tables must outlive
-/// every schedule still pointing into them at static-destruction time.
+/// The process-wide sharded instance for callers without an owned shard
+/// (the batch sweep path, benches, tests).  Leaked intentionally: cached
+/// routing tables must outlive every schedule still pointing into them
+/// at static-destruction time.
 [[nodiscard]] ShardedTopologyCache& process_topology_cache() noexcept;
 
 }  // namespace oneport::analysis

@@ -32,7 +32,6 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
   OP_REQUIRE(routing == nullptr ||
                  routing->num_processors() == platform.num_processors(),
              "routing table does not match the platform");
-  if (default_graph_path() == GraphPath::kSoa) soa_.emplace(graph);
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
     pending_preds_[v] = static_cast<std::uint32_t>(graph.in_degree(v));
   }
@@ -72,7 +71,7 @@ const std::vector<EftEngine::PredRec>& EftEngine::sorted_preds(
   if (preds_task_ == v) return preds_;
   preds_task_ = kInvalidTask;  // invalidate first: the fill below can throw
   preds_.clear();
-  for (const EdgeRef& e : preds_of(v)) {
+  for (const EdgeRef& e : graph_.predecessors(v)) {
     const TaskPlacement& src = placements_[e.task];
     OP_REQUIRE(src.placed(),
                "predecessor " << e.task << " of " << v << " not scheduled");
@@ -128,7 +127,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
   out.comms.clear();
 
   const std::vector<PredRec>& preds = sorted_preds(v);
-  const double exec = weight_of(v) * cycle_data_[proc];
+  const double exec = graph_.weight(v) * cycle_data_[proc];
 
   // Overlay-free fast path (one-port, direct links): when every cross
   // predecessor sits on a *distinct* sender, no send port ever carries
@@ -373,7 +372,7 @@ void EftEngine::fill_bounds(TaskId v) const {
   // (next_fit on the arrival bound) is deferred to evaluate_best, which
   // probes a candidate only when it actually reaches the front of the
   // scan -- candidates pruned on the cheap key never pay for a probe.
-  const double w = weight_of(v);
+  const double w = graph_.weight(v);
   bounds_scratch_.clear();
   for (std::size_t p = 0; p < np; ++p) {
     bounds_scratch_.emplace_back(arr[p] + w * cycle_data_[p],
@@ -408,7 +407,7 @@ const Evaluation& EftEngine::evaluate_best(TaskId v) const {
   fill_bounds(v);
   std::sort(bounds_scratch_.begin(), bounds_scratch_.end());
   tight_scratch_.clear();
-  const double w = weight_of(v);
+  const double w = graph_.weight(v);
   const double inf = std::numeric_limits<double>::infinity();
 
   Evaluation& best = best_scratch_;
@@ -501,7 +500,7 @@ void EftEngine::commit(const Evaluation& eval) {
   compute_[static_cast<std::size_t>(eval.proc)].reserve(eval.start,
                                                         eval.finish);
   placements_[eval.task] = TaskPlacement{eval.proc, eval.start, eval.finish};
-  for (const EdgeRef& e : succs_of(eval.task)) {
+  for (const EdgeRef& e : graph_.successors(eval.task)) {
     OP_ASSERT(pending_preds_[e.task] > 0,
               "indegree counter underflow at task " << e.task);
     --pending_preds_[e.task];

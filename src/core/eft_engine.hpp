@@ -18,17 +18,16 @@
 // "assigns the new communications as early as possible, in a greedy
 // fashion", which this policy implements deterministically.
 //
-// Hot-path layout: the engine walks either the TaskGraph's pointer layout
-// or a TaskGraphSoA CSR view (graph/soa_view.hpp, selected by
-// default_graph_path() at construction), caches the raw link/cycle-time/
-// routing-distance arrays once, and folds each task's predecessors into
-// contiguous PredRec lanes -- (finish, data, release, task, proc) sorted
-// by data-ready time -- shared by every candidate-processor scan.  The
-// finish lower bounds for *all* processors are produced in one pass over
-// those lanes (per predecessor, one dense sweep across the processor
-// lanes followed by an exact restore of the predecessor's own lane),
-// which is bit-identical to the per-processor scalar recurrence because
-// each lane sees the same operations in the same order.
+// Hot-path layout: the engine walks the TaskGraph's CSR adjacency lanes
+// directly, caches the raw link/cycle-time/routing-distance arrays once,
+// and folds each task's predecessors into contiguous PredRec lanes --
+// (finish, data, release, task, proc) sorted by data-ready time --
+// shared by every candidate-processor scan.  The finish lower bounds for
+// *all* processors are produced in one pass over those lanes (per
+// predecessor, one dense sweep across the processor lanes followed by an
+// exact restore of the predecessor's own lane), which is bit-identical to
+// the per-processor scalar recurrence because each lane sees the same
+// operations in the same order.
 //
 // Evaluation is allocation-free after warm-up: the engine keeps one
 // reusable overlay per processor and port direction, invalidated lazily
@@ -40,10 +39,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "graph/soa_view.hpp"
 #include "graph/task_graph.hpp"
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
@@ -124,11 +121,6 @@ class EftEngine {
     return platform_;
   }
   [[nodiscard]] Model model() const noexcept { return model_; }
-  /// Which adjacency layout this engine's hot loops traverse (fixed at
-  /// construction from default_graph_path()).
-  [[nodiscard]] GraphPath graph_path() const noexcept {
-    return soa_.has_value() ? GraphPath::kSoa : GraphPath::kPointer;
-  }
 
  private:
   /// One predecessor of the task under evaluation, flattened into the
@@ -142,18 +134,6 @@ class EftEngine {
     TaskId task = kInvalidTask;
     ProcId proc = -1;
   };
-
-  // Layout-dispatched adjacency reads (one predictable branch; the SoA
-  // lanes additionally skip TaskGraph's per-call bounds checks).
-  [[nodiscard]] std::span<const EdgeRef> preds_of(TaskId v) const {
-    return soa_ ? soa_->predecessors(v) : graph_.predecessors(v);
-  }
-  [[nodiscard]] std::span<const EdgeRef> succs_of(TaskId v) const {
-    return soa_ ? soa_->successors(v) : graph_.successors(v);
-  }
-  [[nodiscard]] double weight_of(TaskId v) const {
-    return soa_ ? soa_->weight(v) : graph_.weight(v);
-  }
 
   /// Fills bounds_scratch_ with (finish lower bound, proc) for every
   /// processor in one pass over the predecessor lanes; see the header
@@ -188,8 +168,7 @@ class EftEngine {
   const Platform& platform_;
   Model model_;
   const RoutingTable* routing_;
-  std::optional<TaskGraphSoA> soa_;  ///< built when the SoA path is active
-  std::size_t np_ = 0;               ///< processor count
+  std::size_t np_ = 0;  ///< processor count
   const double* link_data_ = nullptr;   ///< row-major p x p link matrix
   const double* cycle_data_ = nullptr;  ///< per-proc cycle times
   const double* dist_data_ = nullptr;   ///< routed distances (null if none)

@@ -27,8 +27,8 @@
 // see only the live chains.
 //
 // Everything is deterministic: same (graph, platform, heuristic, trace)
-// yields bit-identical results, independent of the ONEPORT_TIMELINE
-// implementation (pinned by the differential sweep).
+// yields bit-identical results (pinned by the frozen-oracle table in the
+// property sweep).
 #pragma once
 
 #include <string>

@@ -9,6 +9,14 @@
 // The graph is built incrementally (add_task / add_edge) and then
 // finalize()d, which checks acyclicity, computes a topological order and
 // freezes the structure.  All algorithms require a finalized graph.
+//
+// Adjacency is stored twice over its lifetime.  While building, each node
+// owns a successor and a predecessor list (add_edge's duplicate check
+// scans the former).  finalize() packs both into CSR lanes -- one flat
+// EdgeRef arena per direction plus (n+1) offsets, per-node insertion order
+// kept -- and releases the lists, so the schedulers' hot loops walk dense
+// memory with no per-node indirection.  The lanes hold offsets, not
+// pointers, so copies of a finalized graph are independent of it.
 #pragma once
 
 #include <cstdint>
@@ -64,13 +72,14 @@ class TaskGraph {
   /// Sum of all task weights (the total work W of the application).
   [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
 
+  /// Adjacency lanes in edge insertion order (require finalized()).
   [[nodiscard]] std::span<const EdgeRef> successors(TaskId v) const {
-    check_task(v);
-    return succ_[v];
+    check_lane(v);
+    return {succ_edges_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};
   }
   [[nodiscard]] std::span<const EdgeRef> predecessors(TaskId v) const {
-    check_task(v);
-    return pred_[v];
+    check_lane(v);
+    return {pred_edges_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
   }
   [[nodiscard]] std::size_t in_degree(TaskId v) const {
     return predecessors(v).size();
@@ -80,6 +89,7 @@ class TaskGraph {
   }
 
   /// Communication volume on edge src->dst; throws if the edge is absent.
+  /// Works before and after finalize().
   [[nodiscard]] double edge_data(TaskId src, TaskId dst) const;
   [[nodiscard]] bool has_edge(TaskId src, TaskId dst) const;
 
@@ -94,11 +104,27 @@ class TaskGraph {
   void check_task(TaskId v) const {
     OP_REQUIRE(v < num_tasks(), "task id " << v << " out of range");
   }
+  // One predictable branch on the hot path; the throw lives out of line.
+  void check_lane(TaskId v) const {
+    if (!finalized_ || v >= num_tasks()) [[unlikely]] {
+      lane_error(v);
+    }
+  }
+  [[noreturn]] void lane_error(TaskId v) const;
+  /// Successors of `src` from whichever layout is live.
+  [[nodiscard]] std::span<const EdgeRef> out_edges(TaskId src) const;
 
   std::vector<double> weights_;
   std::vector<std::string> names_;
-  std::vector<std::vector<EdgeRef>> succ_;
-  std::vector<std::vector<EdgeRef>> pred_;
+  // Builder lists, released by finalize().
+  std::vector<std::vector<EdgeRef>> succ_build_;
+  std::vector<std::vector<EdgeRef>> pred_build_;
+  // CSR lanes, filled by finalize(): node v's edges are
+  // *_edges_[*_off_[v] .. *_off_[v + 1]).
+  std::vector<std::size_t> succ_off_;
+  std::vector<std::size_t> pred_off_;
+  std::vector<EdgeRef> succ_edges_;
+  std::vector<EdgeRef> pred_edges_;
   std::vector<TaskId> topo_;
   std::size_t num_edges_ = 0;
   double total_weight_ = 0.0;

@@ -754,7 +754,7 @@ RoutedPlatform make_topology_platform(const std::string& topology,
 
   // The ':het'/':hot' draws hash the topology seed per edge, so the seed
   // axis distinguishes heterogeneous instances of the same shape (and
-  // participates in the shared_topology_platform cache key).
+  // participates in the process_topology_cache key).
   std::vector<LinkCostFn> fns;
   if (spec.jitter > 0.0) fns.push_back(linkcost::jitter(spec.jitter, seed));
   if (spec.hot > 0.0) {

@@ -1,102 +1,14 @@
 #include "sched/timeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <string_view>
 
-#include "util/env_knobs.hpp"
 #include "util/error.hpp"
 
 namespace oneport {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// First busy interval whose end is after `t` (candidates that could block
-/// a slot starting at or after `t`).
-std::vector<Interval>::const_iterator first_blocking(
-    const std::vector<Interval>& busy, double t) {
-  return std::partition_point(
-      busy.begin(), busy.end(),
-      [t](const Interval& iv) { return iv.end <= t + kTimeEps; });
-}
-
-}  // namespace
-
-// ------------------------------------------------- reference timeline
-
-double Timeline::next_fit(double ready, double duration) const {
-  OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
-  if (duration <= kTimeEps) return ready;
-  double candidate = ready;
-  for (auto it = first_blocking(busy_, candidate); it != busy_.end(); ++it) {
-    if (candidate + duration <= it->start + kTimeEps) break;
-    candidate = std::max(candidate, it->end);
-  }
-  return candidate;
-}
-
-void Timeline::reserve(double start, double end) {
-  OP_REQUIRE(end >= start - kTimeEps, "interval end before start");
-  const Interval iv{start, end};
-  if (iv.degenerate()) return;
-  const auto pos = std::partition_point(
-      busy_.begin(), busy_.end(),
-      [&iv](const Interval& b) { return b.start < iv.start; });
-  // Conflict check against the neighbors.
-  if (pos != busy_.begin()) {
-    OP_ASSERT(!overlaps(*(pos - 1), iv),
-              "reservation [" << start << "," << end << ") overlaps ["
-                              << (pos - 1)->start << "," << (pos - 1)->end
-                              << ")");
-  }
-  if (pos != busy_.end()) {
-    OP_ASSERT(!overlaps(*pos, iv),
-              "reservation [" << start << "," << end << ") overlaps ["
-                              << pos->start << "," << pos->end << ")");
-  }
-  // Merge with touching neighbors to keep the vector compact; list
-  // scheduling produces long runs of back-to-back reservations.
-  auto inserted = busy_.insert(pos, iv);
-  if (inserted != busy_.begin()) {
-    auto prev = inserted - 1;
-    if (inserted->start <= prev->end + kTimeEps) {
-      prev->end = std::max(prev->end, inserted->end);
-      inserted = busy_.erase(inserted) - 1;
-    }
-  }
-  if (inserted + 1 != busy_.end()) {
-    auto next = inserted + 1;
-    if (next->start <= inserted->end + kTimeEps) {
-      inserted->end = std::max(inserted->end, next->end);
-      busy_.erase(next);
-    }
-  }
-}
-
-bool Timeline::is_free(double start, double end) const {
-  const Interval iv{start, end};
-  if (iv.degenerate()) return true;
-  for (auto it = first_blocking(busy_, start); it != busy_.end(); ++it) {
-    if (it->start >= end - kTimeEps) break;
-    if (overlaps(*it, iv)) return false;
-  }
-  return true;
-}
-
-double Timeline::busy_time() const noexcept {
-  double total = 0.0;
-  for (const Interval& iv : busy_) total += iv.duration();
-  return total;
-}
-
-// ----------------------------------------------- gap-indexed timeline
-
-std::size_t GapTimeline::gap_ending_after(double t) const {
+std::size_t TimelineIndex::gap_ending_after(double t) const {
   // The wanted index is the partition point of "gap end <= bound" (gap
   // ends are strictly increasing).  Successive probes of one timeline
   // cluster tightly -- list scheduling's next_fit/reserve pairs land in
@@ -135,11 +47,13 @@ std::size_t GapTimeline::gap_ending_after(double t) const {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// A gap-splitting reservation closer than this to the back of the gap
 /// list is always middle-inserted directly; the memmove is short and the
 /// append-heavy list-scheduling path never touches the buffer.  Beyond
 /// it, deferral kicks in once the tail outgrows ~8*sqrt(gaps) (see
-/// reserve), keeping the amortized middle-insert cost O(sqrt(n)) while
+/// insert), keeping the amortized middle-insert cost O(sqrt(n)) while
 /// long timelines -- whose interior splits cluster near the frontier --
 /// still take the direct path almost always.
 constexpr std::size_t kDeferTailMin = 32;
@@ -149,15 +63,12 @@ constexpr std::size_t kMinFlush = 16;
 
 }  // namespace
 
-double GapTimeline::next_fit(double ready, double duration) const {
-  OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
-  if (duration <= kTimeEps) return ready;
+double TimelineIndex::search(double ready, double duration) const {
+  // The cached horizon is clamped at 0, so probes at negative times can
+  // still land at or past the last busy end here.  A slot there always
+  // starts at `ready` inside the +inf sentinel gap: deferred reservations
+  // end strictly before it (they split interior gaps).
   if (gap_starts_.empty()) return ready;
-  // O(1) fast path for the dominant list-scheduling pattern: a slot at or
-  // beyond the horizon (within tolerance) always starts at `ready` inside
-  // the +inf sentinel gap.  Deferred reservations always end strictly
-  // before the horizon (they split interior gaps), so they cannot block
-  // this path.
   if (ready >= gap_starts_.back() - kTimeEps) return ready;
   double candidate = ready;
   while (true) {
@@ -178,9 +89,9 @@ double GapTimeline::next_fit(double ready, double duration) const {
     if (!found) {
       std::size_t i = gap_ending_after(candidate);
       // `candidate` counts as inside the first gap when it is at most
-      // kTimeEps before its start: the reference scan skips busy
-      // intervals ending within kTimeEps after it, so both
-      // implementations then return the candidate itself.
+      // kTimeEps before its start: the reference oracle's scan skips busy
+      // intervals ending within kTimeEps after it, so both then return
+      // the candidate itself.
       const double start =
           gap_starts_[i] <= candidate + kTimeEps ? candidate : gap_starts_[i];
       if (start + duration <= gap_ends_[i] + kTimeEps) {
@@ -239,7 +150,7 @@ double GapTimeline::next_fit(double ready, double duration) const {
   }
 }
 
-void GapTimeline::reserve(double start, double end) {
+void TimelineIndex::insert(double start, double end) {
   OP_REQUIRE(end >= start - kTimeEps, "interval end before start");
   if (Interval{start, end}.degenerate()) return;
   if (gap_starts_.empty()) {
@@ -356,7 +267,7 @@ void GapTimeline::reserve(double start, double end) {
   }
 }
 
-bool GapTimeline::is_free(double start, double end) const {
+bool TimelineIndex::is_free(double start, double end) const {
   if (Interval{start, end}.degenerate()) return true;
   if (gap_starts_.empty()) return true;
   const std::size_t i = gap_ending_after(start);
@@ -374,7 +285,7 @@ bool GapTimeline::is_free(double start, double end) const {
   return true;
 }
 
-double GapTimeline::busy_time() const noexcept {
+double TimelineIndex::busy_time() const noexcept {
   double total = 0.0;
   for (std::size_t i = 0; i + 1 < gap_starts_.size(); ++i) {
     total += gap_starts_[i + 1] - gap_ends_[i];
@@ -385,7 +296,7 @@ double GapTimeline::busy_time() const noexcept {
   return total;
 }
 
-std::vector<Interval> GapTimeline::busy_intervals() const {
+std::vector<Interval> TimelineIndex::busy_intervals() const {
   std::vector<Interval> busy;
   if (gap_starts_.size() < 2 && pending_.empty()) return busy;
   busy.reserve((gap_starts_.empty() ? 0 : gap_starts_.size() - 1) +
@@ -417,7 +328,7 @@ std::vector<Interval> GapTimeline::busy_intervals() const {
   return busy;
 }
 
-void GapTimeline::flush_pending() {
+void TimelineIndex::flush_pending() {
   if (pending_.empty()) return;
   ++stats_.flushes;
   prof::bump(prof::Counter::kGapFlushes);
@@ -446,49 +357,6 @@ void GapTimeline::flush_pending() {
   gap_ends_.push_back(kInf);
   pending_.clear();
   hint_ = 0;
-}
-
-// -------------------------------------------- implementation selection
-
-namespace {
-
-TimelineImpl impl_from_env() {
-  const std::string_view env = env::text(env::Knob::kTimeline, "gap");
-  if (env == "reference") return TimelineImpl::kReference;
-  if (env == "gap" || env == "gap-indexed") return TimelineImpl::kGapIndexed;
-  if (env == "calendar") return TimelineImpl::kCalendar;
-  // A typo silently selecting the default would invalidate differential
-  // runs; be loud (but do not throw from a static initializer).
-  std::fprintf(stderr,
-               "oneport: ignoring unknown ONEPORT_TIMELINE value '%.*s' "
-               "(expected 'reference', 'gap' or 'calendar'); "
-               "using gap-indexed\n",
-               static_cast<int>(env.size()), env.data());
-  return TimelineImpl::kGapIndexed;
-}
-
-std::atomic<TimelineImpl>& default_impl_slot() noexcept {
-  static std::atomic<TimelineImpl> slot{impl_from_env()};
-  return slot;
-}
-
-}  // namespace
-
-TimelineImpl default_timeline_impl() noexcept {
-  return default_impl_slot().load(std::memory_order_relaxed);
-}
-
-void set_default_timeline_impl(TimelineImpl impl) noexcept {
-  default_impl_slot().store(impl, std::memory_order_relaxed);
-}
-
-const char* timeline_impl_name(TimelineImpl impl) noexcept {
-  switch (impl) {
-    case TimelineImpl::kReference: return "reference";
-    case TimelineImpl::kGapIndexed: return "gap-indexed";
-    case TimelineImpl::kCalendar: return "calendar";
-  }
-  return "unknown";
 }
 
 // ---------------------------------------------------------- overlays

@@ -1,30 +1,5 @@
-// Busy-interval timelines of a single exclusive resource (a processor's
+// Busy-interval timeline of a single exclusive resource (a processor's
 // compute unit, send port, or receive port).
-//
-// Three interchangeable implementations sit behind the same
-// next_fit/reserve/is_free contract:
-//
-//   * Timeline -- the reference implementation: a sorted vector of busy
-//     intervals, scanned linearly from a binary-searched lower bound.
-//     Simple to audit; every other implementation is differentially
-//     tested against it.
-//   * GapTimeline -- the scale implementation: a sorted *free-gap* list
-//     (binary-searchable starts) plus a hinted cursor so the
-//     back-to-back append pattern list scheduling produces costs O(1)
-//     instead of a fresh binary search per reservation.
-//   * CalendarTimeline (sched/calendar_timeline.hpp) -- the middle-insert
-//     implementation: busy intervals clipped into equal-width time
-//     buckets, so reservations landing far from the horizon touch one
-//     bucket instead of shifting a flat vector.
-//
-// TimelineIndex wraps all three behind one concrete type (no virtual
-// dispatch) and is what the EFT engine stores; the active implementation
-// is chosen per instance, defaulting to a process-wide setting that can
-// be overridden with set_default_timeline_impl() or the ONEPORT_TIMELINE
-// environment variable ("reference", "gap" or "calendar").  The index
-// additionally caches the busy horizon so the dominant append-style
-// probe (`ready` at or beyond every reservation) is answered inline
-// without entering the implementation at all.
 //
 // The operations supported are the two queries list scheduling needs:
 //   * next_fit(ready, duration): earliest start >= ready of a free slot,
@@ -34,68 +9,29 @@
 // scheduling one-port communications, and an overlay mechanism so that
 // heuristics can *tentatively* reserve slots while evaluating a candidate
 // processor without mutating the committed state.
+//
+// tests/support/reference_timeline.hpp keeps a plain sorted busy-interval
+// vector with the same contract as the test oracle; the timeline suites
+// fuzz TimelineIndex against it and demand bit-identical answers.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "sched/calendar_timeline.hpp"
 #include "sched/interval.hpp"
 #include "util/error.hpp"
 #include "util/profiler.hpp"
 
 namespace oneport {
 
-// ------------------------------------------------- reference timeline
-
-class Timeline {
- public:
-  /// Earliest start >= `ready` such that [start, start+duration) is free.
-  /// duration == 0 always fits at `ready`.
-  [[nodiscard]] double next_fit(double ready, double duration) const;
-
-  /// Marks [start, end) busy.  Throws std::logic_error when the slot
-  /// conflicts with an existing reservation (library bug).  Degenerate
-  /// intervals are ignored.
-  void reserve(double start, double end);
-
-  [[nodiscard]] bool is_free(double start, double end) const;
-
-  /// End of the last busy interval (0 when empty).
-  [[nodiscard]] double horizon() const noexcept {
-    return busy_.empty() ? 0.0 : busy_.back().end;
-  }
-
-  [[nodiscard]] std::span<const Interval> busy() const noexcept {
-    return busy_;
-  }
-  /// Materialized busy intervals -- the common accessor both timeline
-  /// implementations share, so tests can compare them structurally.
-  [[nodiscard]] std::vector<Interval> busy_intervals() const {
-    return {busy_.begin(), busy_.end()};
-  }
-  [[nodiscard]] bool empty() const noexcept { return busy_.empty(); }
-  void clear() noexcept { busy_.clear(); }
-
-  /// Total busy time.
-  [[nodiscard]] double busy_time() const noexcept;
-
- private:
-  // Sorted by start; pairwise non-overlapping (touching allowed; adjacent
-  // reservations are merged to keep the vector short).
-  std::vector<Interval> busy_;
-};
-
-// ----------------------------------------------- gap-indexed timeline
-
-/// Same contract as Timeline, but the state is the complement: the sorted
-/// list of free gaps.  The first gap starts at -infinity and the last gap
-/// ends at +infinity; consecutive gaps are separated by exactly one busy
-/// interval, so `gaps_[i].end .. gaps_[i+1].start` *is* the i-th busy
+/// The state is the complement of the busy set: the sorted list of free
+/// gaps.  The first gap starts at -infinity and the last gap ends at
+/// +infinity; consecutive gaps are separated by exactly one busy
+/// interval, so `gap i end .. gap i+1 start` *is* the i-th busy
 /// interval.  next_fit/reserve locate the gap covering a time point by
 /// first probing a cursor remembering where the previous reservation
 /// landed (list scheduling reserves back-to-back slots, so the probe
-/// almost always hits) and only then falling back to binary search.
+/// almost always hits) and only then falling back to a galloping search.
 ///
 /// Reservations that split a gap far from the back of the list are
 /// *deferred*: instead of an O(n) vector middle-insert per reservation
@@ -103,22 +39,46 @@ class Timeline {
 /// quadratic), they accumulate in a small sorted side buffer that every
 /// query consults, and are folded into the gap list by a linear-merge
 /// compaction once the buffer reaches ~sqrt(gaps).  That bounds the
-/// amortized middle-insert cost at O(sqrt(n)) while keeping the hot
-/// back-to-back append path exactly as before (the buffer stays empty).
+/// amortized middle-insert cost at O(sqrt(n)) while leaving the hot
+/// back-to-back append path untouched (the buffer stays empty).
+///
+/// The index also caches the busy horizon: a probe at or beyond it
+/// (within kTimeEps) provably returns `ready` (no stored interval ends
+/// after ready + kTimeEps), so list scheduling's dominant append pattern
+/// is answered inline without a gap search.
 ///
 /// Not thread-safe, not even for const queries: the cursor is updated
 /// from next_fit.  Use one timeline (engine) per thread.
-class GapTimeline {
+class TimelineIndex {
  public:
-  [[nodiscard]] double next_fit(double ready, double duration) const;
-  void reserve(double start, double end);
+  /// Earliest start >= `ready` such that [start, start+duration) is free.
+  /// duration == 0 always fits at `ready`.
+  [[nodiscard]] double next_fit(double ready, double duration) const {
+    prof::bump(prof::Counter::kTimelineNextFit);
+    OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
+    if (duration <= kTimeEps) return ready;
+    if (ready >= horizon_ - kTimeEps) {
+      prof::bump(prof::Counter::kTimelineHorizonHits);
+      return ready;
+    }
+    return search(ready, duration);
+  }
+
+  /// Marks [start, end) busy.  Throws std::logic_error when the slot
+  /// conflicts with an existing reservation (library bug).  Degenerate
+  /// intervals are ignored.
+  void reserve(double start, double end) {
+    prof::bump(prof::Counter::kTimelineReserves);
+    insert(start, end);
+    // Degenerate reservations are ignored and must not advance the
+    // cached horizon.
+    if (end > horizon_ && !Interval{start, end}.degenerate()) horizon_ = end;
+  }
+
   [[nodiscard]] bool is_free(double start, double end) const;
 
-  // Deferred splits never land in the +inf sentinel gap, so the horizon
-  // is always the last materialized busy end.
-  [[nodiscard]] double horizon() const noexcept {
-    return gap_starts_.size() < 2 ? 0.0 : gap_starts_.back();
-  }
+  /// End of the last non-degenerate reservation (0 when empty).
+  [[nodiscard]] double horizon() const noexcept { return horizon_; }
   [[nodiscard]] bool empty() const noexcept {
     return gap_starts_.size() < 2 && pending_.empty();
   }
@@ -130,8 +90,12 @@ class GapTimeline {
     pending_max_end_ = 0.0;
     hint_ = 0;
     widest_interior_ = 0.0;
+    horizon_ = 0.0;
   }
+
+  /// Total busy time.
   [[nodiscard]] double busy_time() const noexcept;
+  /// Materialized busy intervals, sorted, touching intervals merged.
   [[nodiscard]] std::vector<Interval> busy_intervals() const;
 
   /// Cost counters for the deferred-compaction machinery, used by the
@@ -144,12 +108,18 @@ class GapTimeline {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  /// Gap search behind next_fit, for probes short of the horizon.
+  [[nodiscard]] double search(double ready, double duration) const;
+
+  /// The gap-list update behind reserve.
+  void insert(double start, double end);
+
   /// Index of the first gap whose end is after `t` (the gap in or after
   /// which a slot starting at or after `t` must begin).  Requires a
   /// non-empty gap list.
   [[nodiscard]] std::size_t gap_ending_after(double t) const;
 
-  /// Folds pending_ into gaps_ with one linear merge.
+  /// Folds pending_ into the gap list with one linear merge.
   void flush_pending();
 
   // Free gaps as structure-of-arrays: gap i spans
@@ -162,7 +132,7 @@ class GapTimeline {
   std::vector<double> gap_starts_;
   std::vector<double> gap_ends_;
   // Deferred busy intervals: sorted by start, pairwise non-overlapping,
-  // each strictly inside one gap of gaps_ at the time it was buffered.
+  // each strictly inside one materialized gap at the time it was buffered.
   std::vector<Interval> pending_;
   // Envelope of the buffer (meaningful only while pending_ is non-empty):
   // a probe at or past every buffered end, or ending at or before every
@@ -175,134 +145,13 @@ class GapTimeline {
   // endpoints (interior gaps; the -inf head and +inf sentinel are
   // excluded).  Reservations only shrink or split gaps, so the bound can
   // go stale high but never low; it is retightened exactly on every
-  // flush_pending().  next_fit uses it to answer "no interior gap can
+  // flush_pending().  search() uses it to answer "no interior gap can
   // hold this duration" in O(1) and jump straight to the horizon, which
   // is the dominant outcome for interior probes on long timelines whose
   // surviving gaps are small.
   double widest_interior_ = 0.0;
-  Stats stats_;
-};
-
-// -------------------------------------------- implementation selection
-
-enum class TimelineImpl {
-  kReference,   ///< sorted busy-interval vector (Timeline)
-  kGapIndexed,  ///< free-gap list with hinted cursor (GapTimeline)
-  kCalendar,    ///< bucketed calendar queue (CalendarTimeline)
-};
-
-/// Process-wide default used by TimelineIndex's default constructor.
-/// Initialized once from the ONEPORT_TIMELINE environment variable
-/// ("reference", "gap" or "calendar"); kGapIndexed when unset.
-[[nodiscard]] TimelineImpl default_timeline_impl() noexcept;
-void set_default_timeline_impl(TimelineImpl impl) noexcept;
-[[nodiscard]] const char* timeline_impl_name(TimelineImpl impl) noexcept;
-
-/// RAII override of the process-wide default, for differential tests and
-/// benchmarks that run both implementations side by side.
-class ScopedTimelineImpl {
- public:
-  explicit ScopedTimelineImpl(TimelineImpl impl)
-      : previous_(default_timeline_impl()) {
-    set_default_timeline_impl(impl);
-  }
-  ~ScopedTimelineImpl() { set_default_timeline_impl(previous_); }
-  ScopedTimelineImpl(const ScopedTimelineImpl&) = delete;
-  ScopedTimelineImpl& operator=(const ScopedTimelineImpl&) = delete;
-
- private:
-  TimelineImpl previous_;
-};
-
-/// The timeline abstraction the scheduling engine stores: one concrete
-/// type dispatching to the implementation chosen at construction.  All
-/// members are cheap empty vectors; only the active one ever grows.
-///
-/// The index caches the busy horizon itself: a probe at or beyond it
-/// (within kTimeEps) provably returns `ready` under every
-/// implementation (no stored interval ends after ready + kTimeEps, so
-/// the reference scan finds no blocker), and list scheduling's dominant
-/// append pattern therefore never pays the dispatch at all.
-class TimelineIndex {
- public:
-  TimelineIndex() : TimelineIndex(default_timeline_impl()) {}
-  explicit TimelineIndex(TimelineImpl impl) : impl_(impl) {}
-
-  [[nodiscard]] double next_fit(double ready, double duration) const {
-    prof::bump(prof::Counter::kTimelineNextFit);
-    OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
-    if (duration <= kTimeEps) return ready;
-    if (ready >= horizon_ - kTimeEps) {
-      prof::bump(prof::Counter::kTimelineHorizonHits);
-      return ready;
-    }
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.next_fit(ready, duration);
-      case TimelineImpl::kGapIndexed: return gap_.next_fit(ready, duration);
-      case TimelineImpl::kCalendar: return cal_.next_fit(ready, duration);
-    }
-    return ready;  // unreachable
-  }
-  void reserve(double start, double end) {
-    prof::bump(prof::Counter::kTimelineReserves);
-    switch (impl_) {
-      case TimelineImpl::kReference: ref_.reserve(start, end); break;
-      case TimelineImpl::kGapIndexed: gap_.reserve(start, end); break;
-      case TimelineImpl::kCalendar: cal_.reserve(start, end); break;
-    }
-    // Degenerate reservations are ignored by every implementation and
-    // must not advance the cached horizon.
-    if (end > horizon_ && !Interval{start, end}.degenerate()) horizon_ = end;
-  }
-  [[nodiscard]] bool is_free(double start, double end) const {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.is_free(start, end);
-      case TimelineImpl::kGapIndexed: return gap_.is_free(start, end);
-      case TimelineImpl::kCalendar: return cal_.is_free(start, end);
-    }
-    return true;  // unreachable
-  }
-  [[nodiscard]] double horizon() const noexcept { return horizon_; }
-  [[nodiscard]] bool empty() const noexcept {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.empty();
-      case TimelineImpl::kGapIndexed: return gap_.empty();
-      case TimelineImpl::kCalendar: return cal_.empty();
-    }
-    return true;  // unreachable
-  }
-  void clear() noexcept {
-    horizon_ = 0.0;
-    switch (impl_) {
-      case TimelineImpl::kReference: ref_.clear(); break;
-      case TimelineImpl::kGapIndexed: gap_.clear(); break;
-      case TimelineImpl::kCalendar: cal_.clear(); break;
-    }
-  }
-  [[nodiscard]] double busy_time() const noexcept {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.busy_time();
-      case TimelineImpl::kGapIndexed: return gap_.busy_time();
-      case TimelineImpl::kCalendar: return cal_.busy_time();
-    }
-    return 0.0;  // unreachable
-  }
-  [[nodiscard]] std::vector<Interval> busy_intervals() const {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.busy_intervals();
-      case TimelineImpl::kGapIndexed: return gap_.busy_intervals();
-      case TimelineImpl::kCalendar: return cal_.busy_intervals();
-    }
-    return {};  // unreachable
-  }
-  [[nodiscard]] TimelineImpl impl() const noexcept { return impl_; }
-
- private:
-  TimelineImpl impl_;
   double horizon_ = 0.0;  ///< end of the last non-degenerate reservation
-  Timeline ref_;
-  GapTimeline gap_;
-  CalendarTimeline cal_;
+  Stats stats_;
 };
 
 // ---------------------------------------------------------- overlays

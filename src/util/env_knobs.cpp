@@ -14,8 +14,6 @@ namespace {
 //   {"NAME", "default", "consumer", "summary"},
 constexpr std::array<KnobInfo, kNumKnobs> kCatalog = {{
     {"ONEPORT_PROFILE", "0", "src/util/profiler.cpp", "enable the per-thread scalability profiler (counters surface in bench JSON and sweep_cli --json)"},
-    {"ONEPORT_TIMELINE", "gap", "src/sched/timeline.cpp", "timeline implementation: reference | gap | calendar"},
-    {"ONEPORT_GRAPH", "soa", "src/graph/soa_view.cpp", "task-graph iteration path: soa | pointer"},
     {"ONEPORT_WORKERS", "hardware", "src/util/thread_pool.hpp", "default thread-pool width for run_figure/run_sweep (0 or unset = hardware concurrency)"},
     {"ONEPORT_SWEEP_SEEDS", "0", "tests/property_sweep_test.cpp", "extra seeded property-sweep repetitions for CI/nightly deepening"},
     {"ONEPORT_SERVICE_SHARDS", "hardware", "src/service/scheduler_service.cpp", "scheduler-service shard workers, each owning a routed-platform cache shard (0 or unset = hardware concurrency)"},

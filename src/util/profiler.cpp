@@ -18,8 +18,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kEngineCommits: return "engine_commits";
     case Counter::kGapDeferredInserts: return "gap_deferred_inserts";
     case Counter::kGapFlushes: return "gap_flushes";
-    case Counter::kCalendarRebuilds: return "calendar_rebuilds";
-    case Counter::kCalendarShifts: return "calendar_shifts";
     case Counter::kPoolTasks: return "pool_tasks";
     case Counter::kPoolTaskNanos: return "pool_task_nanos";
     case Counter::kServiceRequests: return "service_requests";

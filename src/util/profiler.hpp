@@ -41,10 +41,8 @@ enum class Counter : std::uint32_t {
   kPruneEvals,             ///< candidate processors actually evaluated
   kPruneSkips,             ///< candidates pruned by the finish lower bound
   kEngineCommits,          ///< EftEngine::commit calls
-  kGapDeferredInserts,     ///< GapTimeline middle inserts buffered
-  kGapFlushes,             ///< GapTimeline deferred-buffer compactions
-  kCalendarRebuilds,       ///< CalendarTimeline bucket-array rebuilds
-  kCalendarShifts,         ///< CalendarTimeline in-bucket segment shifts
+  kGapDeferredInserts,     ///< TimelineIndex middle inserts buffered
+  kGapFlushes,             ///< TimelineIndex deferred-buffer compactions
   kPoolTasks,              ///< thread-pool jobs executed
   kPoolTaskNanos,          ///< total wall nanoseconds inside pool jobs
   kServiceRequests,        ///< scheduler-service requests completed

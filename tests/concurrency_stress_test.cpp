@@ -1,7 +1,7 @@
 // Concurrency stress for the repo's three load-bearing shared-state
 // sites: the thread pool (contended submit/drain, exceptions inside
-// tasks), the sharded routed-platform cache behind the
-// shared_topology_platform shim, and the profiler's per-thread slab
+// tasks), the process-wide sharded routed-platform cache
+// (process_topology_cache), and the profiler's per-thread slab
 // registry.  (The scheduler service built on top of all three has its
 // own battery in tests/service_test.cpp.)
 //
@@ -112,7 +112,7 @@ TEST(ThreadPoolStress, DestructorDrainsQueuedJobs) {
   EXPECT_EQ(ran.load(), 200);
 }
 
-// --------------------------------------- shared_topology_platform cache
+// ------------------------------------------ process_topology_cache
 
 // Regression shape for the satellite audit of the cache's locking: many
 // workers demanding the same small key set concurrently.  The contract
@@ -135,7 +135,7 @@ TEST(TopologyCacheStress, ConcurrentHitsShareOneInstancePerKey) {
   pool.parallel_for(kLookups, [&](std::size_t i) {
     // Distinct seeds multiply the key space; i % 2 seeds collide across
     // workers so both the build path and the hit path stay contended.
-    got[i] = analysis::shared_topology_platform(
+    got[i] = analysis::process_topology_cache().get(
         names[i % names.size()], cycles, /*link=*/1.0, /*seed=*/i % 2);
   });
   for (std::size_t i = 0; i < kLookups; ++i) {

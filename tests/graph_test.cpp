@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "graph/dot_export.hpp"
 #include "graph/graph_algorithms.hpp"
@@ -93,6 +96,94 @@ TEST(TaskGraph, AlgorithmsRequireFinalize) {
   g.add_task(1.0);
   EXPECT_THROW((void)g.topological_order(), std::invalid_argument);
   EXPECT_THROW(bottom_levels(g, 1.0, 1.0), std::invalid_argument);
+}
+
+// ------------------------------------------------------- CSR lanes
+
+std::vector<TaskId> neighbors(std::span<const EdgeRef> lane) {
+  std::vector<TaskId> out;
+  for (const EdgeRef& e : lane) out.push_back(e.task);
+  return out;
+}
+
+TEST(TaskGraph, LanesKeepInsertionOrderAcrossInterleavedAdds) {
+  TaskGraph g;
+  for (int i = 0; i < 6; ++i) g.add_task(1.0);
+  // Edges of different nodes interleaved, targets out of id order.
+  g.add_edge(0, 5, 1.0);
+  g.add_edge(1, 4, 2.0);
+  g.add_edge(0, 2, 3.0);
+  g.add_edge(3, 4, 4.0);
+  g.add_edge(0, 4, 5.0);
+  g.add_edge(2, 5, 6.0);
+  g.add_edge(1, 3, 7.0);
+  g.finalize();
+  EXPECT_EQ(neighbors(g.successors(0)), (std::vector<TaskId>{5, 2, 4}));
+  EXPECT_EQ(neighbors(g.successors(1)), (std::vector<TaskId>{4, 3}));
+  EXPECT_EQ(neighbors(g.successors(4)), std::vector<TaskId>{});
+  EXPECT_EQ(neighbors(g.predecessors(4)), (std::vector<TaskId>{1, 3, 0}));
+  EXPECT_EQ(neighbors(g.predecessors(5)), (std::vector<TaskId>{0, 2}));
+  EXPECT_DOUBLE_EQ(g.successors(0)[2].data, 5.0);
+  EXPECT_DOUBLE_EQ(g.predecessors(4)[1].data, 4.0);
+  EXPECT_EQ(g.in_degree(4), 3u);
+  EXPECT_EQ(g.out_degree(0), 3u);
+}
+
+TEST(TaskGraph, AdjacencyReadsRequireFinalize) {
+  TaskGraph g;
+  const TaskId a = g.add_task(1.0);
+  const TaskId b = g.add_task(1.0);
+  g.add_edge(a, b, 1.0);
+  EXPECT_THROW((void)g.successors(a), std::invalid_argument);
+  EXPECT_THROW((void)g.predecessors(b), std::invalid_argument);
+  EXPECT_THROW((void)g.in_degree(b), std::invalid_argument);
+  EXPECT_THROW((void)g.out_degree(a), std::invalid_argument);
+  EXPECT_THROW((void)g.entry_tasks(), std::invalid_argument);
+  g.finalize();
+  EXPECT_EQ(g.out_degree(a), 1u);
+  EXPECT_THROW((void)g.successors(7), std::invalid_argument);
+}
+
+TEST(TaskGraph, EdgeLookupsAgreeBeforeAndAfterFinalize) {
+  TaskGraph g;
+  for (int i = 0; i < 5; ++i) g.add_task(1.0);
+  g.add_edge(0, 3, 1.5);
+  g.add_edge(2, 4, 0.0);
+  g.add_edge(0, 1, 2.5);
+  g.add_edge(1, 4, 3.5);
+  std::vector<bool> has_before;
+  std::vector<double> data_before;
+  for (TaskId u = 0; u < 5; ++u) {
+    for (TaskId v = 0; v < 5; ++v) {
+      has_before.push_back(g.has_edge(u, v));
+      data_before.push_back(g.has_edge(u, v) ? g.edge_data(u, v) : -1.0);
+    }
+  }
+  EXPECT_THROW((void)g.edge_data(3, 0), std::invalid_argument);
+  g.finalize();
+  std::size_t k = 0;
+  for (TaskId u = 0; u < 5; ++u) {
+    for (TaskId v = 0; v < 5; ++v, ++k) {
+      EXPECT_EQ(g.has_edge(u, v), has_before[k]) << u << "->" << v;
+      EXPECT_EQ(g.has_edge(u, v) ? g.edge_data(u, v) : -1.0, data_before[k])
+          << u << "->" << v;
+    }
+  }
+  EXPECT_THROW((void)g.edge_data(3, 0), std::invalid_argument);
+  EXPECT_THROW((void)g.has_edge(0, 9), std::invalid_argument);
+}
+
+TEST(TaskGraph, CopyOfFinalizedGraphOutlivesOriginal) {
+  std::unique_ptr<TaskGraph> original =
+      std::make_unique<TaskGraph>(make_diamond());
+  const TaskGraph copy = *original;
+  original.reset();
+  EXPECT_EQ(neighbors(copy.successors(0)), (std::vector<TaskId>{1, 2}));
+  EXPECT_EQ(neighbors(copy.predecessors(3)), (std::vector<TaskId>{1, 2}));
+  EXPECT_DOUBLE_EQ(copy.edge_data(2, 3), 4.0);
+  EXPECT_EQ(copy.in_degree(3), 2u);
+  EXPECT_EQ(copy.entry_tasks(), std::vector<TaskId>{0});
+  EXPECT_EQ(copy.topological_order().size(), 4u);
 }
 
 // ------------------------------------------------------- levels / paths

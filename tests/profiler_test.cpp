@@ -64,8 +64,7 @@ TEST(Profiler, CounterNamesAreStableSnakeCase) {
                "timeline_next_fit");
   EXPECT_STREQ(prof::counter_name(prof::Counter::kEngineCommits),
                "engine_commits");
-  EXPECT_STREQ(prof::counter_name(prof::Counter::kCalendarRebuilds),
-               "calendar_rebuilds");
+  EXPECT_STREQ(prof::counter_name(prof::Counter::kGapFlushes), "gap_flushes");
   EXPECT_STREQ(prof::counter_name(prof::Counter::kPoolTaskNanos),
                "pool_task_nanos");
   for (std::size_t i = 0; i < prof::kNumCounters; ++i) {

@@ -15,18 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/registry.hpp"
-#include "util/env_knobs.hpp"
-#include "dynamic/events.hpp"
-#include "graph/soa_view.hpp"
-#include "dynamic/reschedule.hpp"
 #include "sched/replay.hpp"
-#include "sched/timeline.hpp"
+#include "support/frozen_oracle.hpp"
 #include "support/invariants.hpp"
 #include "support/scenario.hpp"
+#include "util/env_knobs.hpp"
 
 namespace oneport {
 namespace {
@@ -142,129 +140,27 @@ TEST(PropertySweepExtended, HonorsEnvSeedCount) {
   }
 }
 
-// Differential pin for the ISSUE-2/ISSUE-7 hot-path refactors: every
-// timeline implementation (reference sorted-vector, gap-indexed free
-// list, bucketed calendar queue) and both task-graph iteration paths
-// (pointer-chasing adjacency vs the CSR/SoA view) must produce
-// BIT-IDENTICAL schedules (placements and messages compared with exact
-// double equality) for every registered heuristic under both
-// communication models.  Any divergence means an index or layout change
-// altered scheduling behavior, not just speed.  Routed scenarios ride
-// the same pin: the store-and-forward code path (and the routed
-// finish_lower_bound pruning behind it) must not depend on the timeline
-// implementation or memory layout either.
-TEST(PropertySweepDifferential, TimelineImplsYieldIdenticalSchedules) {
-  std::vector<Scenario> scenarios = testsupport::scenario_sweep(8087, 8);
-  for (Scenario& scenario : testsupport::edge_case_scenarios()) {
-    scenarios.push_back(std::move(scenario));
+// Frozen-oracle pin: every (scenario, scheduler[, trace]) row of the
+// static, dynamic and heterogeneous-routed rotations must reproduce the
+// committed makespan and schedule digest exactly (tests/support/
+// frozen_oracle.hpp).  The table was recorded with the reference
+// timeline, so this is the bit-identity differential against it, frozen.
+TEST(PropertySweepDifferential, SchedulesMatchFrozenOracle) {
+  const std::vector<testsupport::FrozenRow> actual =
+      testsupport::compute_frozen_rows();
+  const std::span<const testsupport::FrozenRow> expected =
+      testsupport::frozen_rows();
+  std::size_t first_diff = 0;
+  while (first_diff < actual.size() && first_diff < expected.size() &&
+         actual[first_diff] == expected[first_diff]) {
+    ++first_diff;
   }
-  for (Scenario& scenario : testsupport::routed_scenario_sweep(9091, 10)) {
-    scenarios.push_back(std::move(scenario));
-  }
-  // ISSUE-10 workload families ride the same bit-identity pin.
-  for (Scenario& scenario : testsupport::workload_scenario_sweep(9191, 4)) {
-    scenarios.push_back(std::move(scenario));
-  }
-  struct Variant {
-    const char* label;
-    TimelineImpl impl;
-    GraphPath path;
-  };
-  const Variant variants[] = {
-      {"gap/soa", TimelineImpl::kGapIndexed, GraphPath::kSoa},
-      {"calendar/soa", TimelineImpl::kCalendar, GraphPath::kSoa},
-      {"gap/pointer", TimelineImpl::kGapIndexed, GraphPath::kPointer},
-  };
-  for (const Scenario& scenario : scenarios) {
-    for (const SchedulerEntry& entry : registry_for(scenario)) {
-      SCOPED_TRACE(scenario.description + " scheduler=" + entry.name);
-      Schedule reference;
-      {
-        ScopedTimelineImpl guard(TimelineImpl::kReference);
-        ScopedGraphPath path_guard(GraphPath::kSoa);
-        reference = entry.run(scenario.graph, scenario.platform);
-      }
-      for (const Variant& variant : variants) {
-        SCOPED_TRACE(std::string("variant=") + variant.label);
-        Schedule other;
-        {
-          ScopedTimelineImpl guard(variant.impl);
-          ScopedGraphPath path_guard(variant.path);
-          other = entry.run(scenario.graph, scenario.platform);
-        }
-        ASSERT_EQ(reference.num_tasks(), other.num_tasks());
-        EXPECT_TRUE(reference.tasks() == other.tasks())
-            << "task placements diverge from the reference timeline";
-        EXPECT_TRUE(reference.comms() == other.comms())
-            << "communications diverge from the reference timeline";
-        EXPECT_EQ(reference.makespan(), other.makespan());
-      }
-    }
-  }
-}
-
-// Event-trace determinism: the same (DAG, platform, trace, heuristic)
-// input must yield a bit-identical dynamic result -- every epoch's
-// placements, live messages, and stale list -- under all three
-// ONEPORT_TIMELINE implementations.  The rebuild path leans on
-// next_fit/reserve far harder than the static engines (timelines are
-// pre-seeded with the whole frozen prefix), so this is the dynamic
-// extension of the differential pin above.
-TEST(PropertySweepDifferential, DynamicRunsAreTimelineImplInvariant) {
-  std::vector<Scenario> scenarios = testsupport::scenario_sweep(8187, 4);
-  for (Scenario& scenario : testsupport::routed_scenario_sweep(9191, 5)) {
-    scenarios.push_back(std::move(scenario));
-  }
-  const std::vector<std::string> traces = {"slowdown", "dropout", "mixed",
-                                           "arrival"};
-  for (const Scenario& scenario : scenarios) {
-    const SchedulerConfig config{.ilha_chunk_size = 5,
-                                 .routing = scenario.routing_ptr()};
-    for (const SchedulerEntry& entry : registry_for(scenario)) {
-      const Schedule initial =
-          entry.run(scenario.graph, scenario.platform);
-      for (const std::string& trace_name : traces) {
-        SCOPED_TRACE(scenario.description + " scheduler=" + entry.name +
-                     " trace=" + trace_name);
-        const dyn::EventTrace trace =
-            dyn::make_named_trace(trace_name, scenario.graph,
-                                  scenario.platform, initial, scenario.seed);
-        dyn::DynamicOptions options;
-        options.model = model_of(entry);
-        dyn::DynamicResult reference;
-        {
-          ScopedTimelineImpl guard(TimelineImpl::kReference);
-          reference = dyn::run_dynamic(scenario.graph, scenario.platform,
-                                       entry.name, config, trace, options);
-        }
-        for (const TimelineImpl impl :
-             {TimelineImpl::kGapIndexed, TimelineImpl::kCalendar}) {
-          SCOPED_TRACE(std::string("impl=") + timeline_impl_name(impl));
-          dyn::DynamicResult other;
-          {
-            ScopedTimelineImpl guard(impl);
-            other = dyn::run_dynamic(scenario.graph, scenario.platform,
-                                     entry.name, config, trace, options);
-          }
-          EXPECT_TRUE(reference.schedule.tasks() == other.schedule.tasks())
-              << "dynamic placements diverge between timeline impls";
-          EXPECT_TRUE(reference.schedule.comms() == other.schedule.comms())
-              << "dynamic messages diverge between timeline impls";
-          EXPECT_TRUE(reference.stale_comms == other.stale_comms)
-              << "stale lists diverge between timeline impls";
-          ASSERT_EQ(reference.epochs.size(), other.epochs.size());
-          for (std::size_t k = 0; k < reference.epochs.size(); ++k) {
-            EXPECT_TRUE(reference.epochs[k].schedule.tasks() ==
-                        other.epochs[k].schedule.tasks())
-                << "epoch " << k << " placements diverge";
-            EXPECT_TRUE(reference.epochs[k].schedule.comms() ==
-                        other.epochs[k].schedule.comms())
-                << "epoch " << k << " messages diverge";
-          }
-        }
-      }
-    }
-  }
+  const bool same =
+      actual.size() == expected.size() && first_diff == actual.size();
+  EXPECT_TRUE(same) << actual.size() << " rows computed, " << expected.size()
+                    << " pinned; first difference at row " << first_diff
+                    << ".  Actual table:\n"
+                    << testsupport::format_frozen_rows(actual);
 }
 
 // Cross-model dominance: for one fixed heuristic (HEFT), relaxing its

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <string>
 
-#include "analysis/experiment.hpp"
+#include "analysis/topology_cache.hpp"
 #include "core/heft.hpp"
 #include "core/ilha.hpp"
 #include "platform/routing.hpp"
@@ -298,8 +298,9 @@ TEST(StructuredTopologies, StructuredRoutesScheduleAndValidate) {
 // identical -- paths and distances -- to a freshly built platform.
 TEST(StructuredTopologies, SharedTopologyPlatformCachePinsFreshTables) {
   const std::vector<double> cycles{1.0, 2.0, 1.0, 2.0, 3.0};
-  const auto a = analysis::shared_topology_platform("mesh3x3", cycles, 1.0, 1);
-  const auto b = analysis::shared_topology_platform("mesh3x3", cycles, 1.0, 1);
+  analysis::ShardedTopologyCache& cache = analysis::process_topology_cache();
+  const auto a = cache.get("mesh3x3", cycles, 1.0, 1);
+  const auto b = cache.get("mesh3x3", cycles, 1.0, 1);
   EXPECT_EQ(a.get(), b.get()) << "second lookup must hit the cache";
 
   const RoutedPlatform fresh = make_topology_platform("mesh3x3", cycles, 1.0);
@@ -316,11 +317,10 @@ TEST(StructuredTopologies, SharedTopologyPlatformCachePinsFreshTables) {
 
   // Seed participates in the key: two random networks with different
   // seeds are distinct instances (and, in general, distinct graphs).
-  const auto r1 = analysis::shared_topology_platform("random", cycles, 1.0, 1);
-  const auto r2 = analysis::shared_topology_platform("random", cycles, 1.0, 2);
+  const auto r1 = cache.get("random", cycles, 1.0, 1);
+  const auto r2 = cache.get("random", cycles, 1.0, 2);
   EXPECT_NE(r1.get(), r2.get());
-  const auto r1_again =
-      analysis::shared_topology_platform("random", cycles, 1.0, 1);
+  const auto r1_again = cache.get("random", cycles, 1.0, 1);
   EXPECT_EQ(r1.get(), r1_again.get());
 }
 

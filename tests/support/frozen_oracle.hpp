@@ -1,0 +1,48 @@
+// Frozen-oracle schedule pin.
+//
+// One row per (scenario, scheduler[, event trace]) over three seeded
+// rotations: the static property-sweep rotation (random, edge-case,
+// routed and workload-family scenarios under every registered
+// heuristic), the dynamic rotation (the same heuristics replayed through
+// dyn::run_dynamic under the four named fault traces), and the
+// heterogeneous routed STENCIL cases.  Each row holds the makespan and a
+// 64-bit FNV-1a digest over the bit pattern of every placement and
+// message field; a dynamic row's digest also covers every epoch's
+// schedule and the stale-message list.
+//
+// The committed table (frozen_schedules.inc) was recorded with the
+// reference sorted-busy-vector timeline -- now the test oracle in
+// reference_timeline.hpp -- and it matched bit for bit under every other
+// timeline implementation and graph layout the library carried at the
+// time.  Recomputing it with production code and demanding exact
+// equality is the same pin a run-time differential against the oracle
+// would give, without keeping a second implementation in the library.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+namespace oneport::testsupport {
+
+struct FrozenRow {
+  std::string key;
+  double makespan = 0.0;
+  std::uint64_t digest = 0;
+
+  friend bool operator==(const FrozenRow&, const FrozenRow&) = default;
+};
+
+/// Recomputes every row with the library as built.
+[[nodiscard]] std::vector<FrozenRow> compute_frozen_rows();
+
+/// The committed table.
+[[nodiscard]] std::span<const FrozenRow> frozen_rows();
+
+/// Renders rows in the committed table's source form, one initializer
+/// per line, so a deliberate schedule change is re-pinned by pasting the
+/// output over frozen_schedules.inc.
+[[nodiscard]] std::string format_frozen_rows(std::span<const FrozenRow> rows);
+
+}  // namespace oneport::testsupport

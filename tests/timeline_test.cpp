@@ -5,22 +5,24 @@
 #include <vector>
 
 #include "sched/timeline.hpp"
+#include "support/reference_timeline.hpp"
 #include "util/rng.hpp"
 
 namespace oneport {
 namespace {
 
-// Every contract test below runs against ALL timeline implementations:
-// the reference sorted-busy-vector (Timeline), the gap-indexed free
-// list (GapTimeline), and the bucketed calendar queue (CalendarTimeline).
-// They must agree not just on semantics but on the exact doubles they
-// return -- the property sweep relies on bit-identical schedules from
-// every implementation.
+using testsupport::ReferenceTimeline;
+
+// Every contract test below runs against both the production
+// TimelineIndex (gap list, deferred buffer, cached horizon) and the
+// sorted-busy-vector oracle in tests/support.  They must agree not just
+// on semantics but on the exact doubles they return -- the frozen-oracle
+// schedule table was recorded with the oracle.
 template <typename T>
 class TimelineContractTest : public ::testing::Test {};
 
-using TimelineImpls = ::testing::Types<Timeline, GapTimeline, CalendarTimeline>;
-TYPED_TEST_SUITE(TimelineContractTest, TimelineImpls);
+using Timelines = ::testing::Types<ReferenceTimeline, TimelineIndex>;
+TYPED_TEST_SUITE(TimelineContractTest, Timelines);
 
 TYPED_TEST(TimelineContractTest, EmptyFitsAnywhere) {
   TypeParam t;
@@ -173,49 +175,39 @@ TEST(Interval, OverlapSemantics) {
 
 // ----------------------------------------------- differential fuzzing
 
-/// Drives all three implementations through an identical random op
-/// sequence and demands exactly equal answers and busy structures at
-/// every step.
+/// Drives the oracle and the production index through an identical
+/// random op sequence and demands exactly equal answers and busy
+/// structures at every step.  Probes go through TimelineIndex's public
+/// entry points, so its cached-horizon fast path is fuzzed along with
+/// the gap search.
 class TimelineDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TimelineDifferentialTest, ImplementationsAgreeExactly) {
   SplitMix64 rng(GetParam());
-  Timeline reference;
-  GapTimeline gap;
-  CalendarTimeline calendar;
+  ReferenceTimeline reference;
+  TimelineIndex index;
   for (int i = 0; i < 400; ++i) {
     const double ready = rng.uniform(0.0, 60.0);
     const double duration =
         rng.below(8) == 0 ? 0.0 : rng.uniform(0.0, 4.0);
     const double fit_ref = reference.next_fit(ready, duration);
-    const double fit_gap = gap.next_fit(ready, duration);
-    const double fit_cal = calendar.next_fit(ready, duration);
-    ASSERT_EQ(fit_ref, fit_gap)  // bitwise: no tolerance
-        << "step " << i << " ready=" << ready << " duration=" << duration;
-    ASSERT_EQ(fit_ref, fit_cal)
+    const double fit = index.next_fit(ready, duration);
+    ASSERT_EQ(fit_ref, fit)  // bitwise: no tolerance
         << "step " << i << " ready=" << ready << " duration=" << duration;
     const double probe_end = ready + rng.uniform(0.0, 5.0);
     ASSERT_EQ(reference.is_free(ready, probe_end),
-              gap.is_free(ready, probe_end))
-        << "step " << i;
-    ASSERT_EQ(reference.is_free(ready, probe_end),
-              calendar.is_free(ready, probe_end))
+              index.is_free(ready, probe_end))
         << "step " << i;
     if (rng.below(3) != 0) {  // reserve the found slot 2/3 of the time
       reference.reserve(fit_ref, fit_ref + duration);
-      gap.reserve(fit_gap, fit_gap + duration);
-      calendar.reserve(fit_cal, fit_cal + duration);
+      index.reserve(fit, fit + duration);
     }
-    ASSERT_EQ(reference.busy_intervals(), gap.busy_intervals())
+    ASSERT_EQ(reference.busy_intervals(), index.busy_intervals())
         << "step " << i;
-    ASSERT_EQ(reference.busy_intervals(), calendar.busy_intervals())
-        << "step " << i;
-    ASSERT_EQ(reference.horizon(), gap.horizon()) << "step " << i;
-    ASSERT_EQ(reference.horizon(), calendar.horizon()) << "step " << i;
+    ASSERT_EQ(reference.horizon(), index.horizon()) << "step " << i;
   }
-  EXPECT_NEAR(reference.busy_time(), gap.busy_time(), 1e-9);
-  EXPECT_NEAR(reference.busy_time(), calendar.busy_time(), 1e-9);
+  EXPECT_NEAR(reference.busy_time(), index.busy_time(), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineDifferentialTest,
@@ -312,44 +304,13 @@ TEST(JointFit, ZeroDuration) {
   EXPECT_DOUBLE_EQ(earliest_joint_fit(oa, ob, 3.0, 0.0), 3.0);
 }
 
-// ------------------------------------------- implementation selection
-
-TEST(TimelineIndexSelection, ScopedOverrideRoundTrips) {
-  const TimelineImpl before = default_timeline_impl();
-  {
-    ScopedTimelineImpl guard(TimelineImpl::kReference);
-    EXPECT_EQ(default_timeline_impl(), TimelineImpl::kReference);
-    EXPECT_EQ(TimelineIndex().impl(), TimelineImpl::kReference);
-    {
-      ScopedTimelineImpl inner(TimelineImpl::kGapIndexed);
-      EXPECT_EQ(TimelineIndex().impl(), TimelineImpl::kGapIndexed);
-    }
-    EXPECT_EQ(default_timeline_impl(), TimelineImpl::kReference);
-  }
-  EXPECT_EQ(default_timeline_impl(), before);
-  EXPECT_STREQ(timeline_impl_name(TimelineImpl::kReference), "reference");
-  EXPECT_STREQ(timeline_impl_name(TimelineImpl::kGapIndexed),
-               "gap-indexed");
-  EXPECT_STREQ(timeline_impl_name(TimelineImpl::kCalendar), "calendar");
-}
-
-TEST(TimelineIndexSelection, ExplicitImplIgnoresDefault) {
-  ScopedTimelineImpl guard(TimelineImpl::kReference);
-  TimelineIndex gap(TimelineImpl::kGapIndexed);
-  gap.reserve(0.0, 2.0);
-  EXPECT_EQ(gap.impl(), TimelineImpl::kGapIndexed);
-  EXPECT_DOUBLE_EQ(gap.next_fit(0.0, 1.0), 2.0);
-  EXPECT_DOUBLE_EQ(gap.horizon(), 2.0);
-  EXPECT_EQ(gap.busy_intervals().size(), 1u);
-}
-
 // --------------------------------------------------------- properties
 
 class TimelinePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 /// next_fit always returns a slot that reserve() accepts, for arbitrary
-/// reservation sequences -- on both implementations.
+/// reservation sequences -- on the index and the oracle alike.
 template <typename T>
 void next_fit_slots_always_reservable(std::uint64_t seed) {
   SplitMix64 rng(seed);
@@ -368,12 +329,11 @@ void next_fit_slots_always_reservable(std::uint64_t seed) {
 }
 
 TEST_P(TimelinePropertyTest, NextFitSlotsAreAlwaysReservable) {
-  next_fit_slots_always_reservable<Timeline>(GetParam());
-  next_fit_slots_always_reservable<GapTimeline>(GetParam());
-  next_fit_slots_always_reservable<CalendarTimeline>(GetParam());
+  next_fit_slots_always_reservable<ReferenceTimeline>(GetParam());
+  next_fit_slots_always_reservable<TimelineIndex>(GetParam());
 }
 
-/// Busy intervals stay sorted and disjoint on both implementations.
+/// Busy intervals stay sorted and disjoint on the index and the oracle.
 template <typename T>
 void invariant_sorted_disjoint(std::uint64_t seed) {
   SplitMix64 rng(seed + 1000);
@@ -390,9 +350,8 @@ void invariant_sorted_disjoint(std::uint64_t seed) {
 }
 
 TEST_P(TimelinePropertyTest, InvariantSortedDisjoint) {
-  invariant_sorted_disjoint<Timeline>(GetParam());
-  invariant_sorted_disjoint<GapTimeline>(GetParam());
-  invariant_sorted_disjoint<CalendarTimeline>(GetParam());
+  invariant_sorted_disjoint<ReferenceTimeline>(GetParam());
+  invariant_sorted_disjoint<TimelineIndex>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelinePropertyTest,
@@ -402,7 +361,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelinePropertyTest,
 
 // The scenarios below reserve deep inside long timelines -- the pattern
 // the dynamic rescheduler's prefix-freeze produces -- so they drive the
-// GapTimeline pending buffer (deferral, query absorption, flush) that
+// TimelineIndex pending buffer (deferral, query absorption, flush) that
 // pure next_fit/reserve appends never reach.
 
 /// A long alternating timeline: blocks [4i, 4i+1), gaps in between.
@@ -418,13 +377,11 @@ class TimelineMiddleInsertTest
 
 TEST_P(TimelineMiddleInsertTest, RandomMiddleInsertsAgreeWithReference) {
   SplitMix64 rng(GetParam());
-  Timeline reference;
-  GapTimeline gap;
-  CalendarTimeline calendar;
+  ReferenceTimeline reference;
+  TimelineIndex index;
   const int blocks = 600;
   lay_down_blocks(reference, blocks);
-  lay_down_blocks(gap, blocks);
-  lay_down_blocks(calendar, blocks);
+  lay_down_blocks(index, blocks);
 
   // Visit the interior gaps in a random order and drop a sliver strictly
   // inside each: every insert splits a gap far from the tail.
@@ -440,38 +397,26 @@ TEST_P(TimelineMiddleInsertTest, RandomMiddleInsertsAgreeWithReference) {
     const double start = base + 1.5 + rng.uniform(0.0, 0.5);
     const double end = start + rng.uniform(0.2, 0.8);
     reference.reserve(start, end);
-    gap.reserve(start, end);
-    calendar.reserve(start, end);
+    index.reserve(start, end);
     // Interleave queries so absorption runs against a hot buffer.
     const double ready = rng.uniform(0.0, 4.0 * blocks);
     const double duration = rng.uniform(0.0, 2.0);
     ASSERT_EQ(reference.next_fit(ready, duration),
-              gap.next_fit(ready, duration))
-        << "step " << step;
-    ASSERT_EQ(reference.next_fit(ready, duration),
-              calendar.next_fit(ready, duration))
+              index.next_fit(ready, duration))
         << "step " << step;
     ASSERT_EQ(reference.is_free(start - 0.1, end),
-              gap.is_free(start - 0.1, end))
-        << "step " << step;
-    ASSERT_EQ(reference.is_free(start - 0.1, end),
-              calendar.is_free(start - 0.1, end))
+              index.is_free(start - 0.1, end))
         << "step " << step;
     if (step % 64 == 0) {
-      ASSERT_EQ(reference.busy_intervals(), gap.busy_intervals())
-          << "step " << step;
-      ASSERT_EQ(reference.busy_intervals(), calendar.busy_intervals())
+      ASSERT_EQ(reference.busy_intervals(), index.busy_intervals())
           << "step " << step;
     }
   }
-  EXPECT_EQ(reference.busy_intervals(), gap.busy_intervals());
-  EXPECT_EQ(reference.busy_intervals(), calendar.busy_intervals());
-  EXPECT_NEAR(reference.busy_time(), gap.busy_time(), 1e-9);
-  EXPECT_NEAR(reference.busy_time(), calendar.busy_time(), 1e-9);
-  EXPECT_EQ(reference.horizon(), gap.horizon());
-  EXPECT_EQ(reference.horizon(), calendar.horizon());
+  EXPECT_EQ(reference.busy_intervals(), index.busy_intervals());
+  EXPECT_NEAR(reference.busy_time(), index.busy_time(), 1e-9);
+  EXPECT_EQ(reference.horizon(), index.horizon());
   // The pattern must actually have exercised the buffer.
-  EXPECT_GT(gap.stats().deferred_inserts, 0u);
+  EXPECT_GT(index.stats().deferred_inserts, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineMiddleInsertTest,
@@ -479,7 +424,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineMiddleInsertTest,
                                                           31337));
 
 TEST(TimelineMiddleInsert, QueriesSeePendingImmediately) {
-  GapTimeline gap;
+  TimelineIndex gap;
   lay_down_blocks(gap, 200);
   // Split an early gap; with ~200 gaps after it the insert is deferred.
   gap.reserve(9.5, 10.5);
@@ -497,13 +442,13 @@ TEST(TimelineMiddleInsert, QueriesSeePendingImmediately) {
 }
 
 TEST(TimelineMiddleInsert, BufferFlushesBeforeGrowingQuadratic) {
-  GapTimeline gap;
+  TimelineIndex gap;
   const int blocks = 400;
   lay_down_blocks(gap, blocks);
   for (int i = 0; i + 1 < blocks; ++i) {
     gap.reserve(4.0 * i + 2.0, 4.0 * i + 3.0);
   }
-  const GapTimeline::Stats& stats = gap.stats();
+  const TimelineIndex::Stats& stats = gap.stats();
   EXPECT_GT(stats.deferred_inserts, 0u);
   EXPECT_GE(stats.flushes, 1u);
   // Deferred compaction bounds element movement by ~n*sqrt(n); direct

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Determinism lint for the scheduling kernel (src/core + src/sched).
 
-Schedules must be bit-identical across timeline implementations, graph
-paths, worker counts and reruns -- the differential pins in
-tests/property_sweep_test.cpp and CI's extended-sweep job depend on it.
+Schedules must be bit-identical across worker counts, machines and
+reruns -- the frozen-oracle schedule table checked by
+tests/property_sweep_test.cpp depends on it.
 This lint statically rejects the constructs that silently break that
 property inside the kernel layers:
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Env-knob lint: every ONEPORT_* getenv goes through the central registry.
 
-Three checks, all driven by the catalog table in src/util/env_knobs.cpp
+Four checks, all driven by the catalog table in src/util/env_knobs.cpp
 (the single getenv call site the first check enforces):
 
   1. getenv confinement -- no file under src/, tests/, bench/ or
@@ -13,6 +13,12 @@ Three checks, all driven by the catalog table in src/util/env_knobs.cpp
   3. catalog <-> enum -- env_knobs.hpp's Knob enum and the .cpp catalog
      must be the same size (a new enum entry without a catalog row would
      otherwise read a neighbours' metadata).
+  4. CI workflows -- every `ONEPORT_X=` assignment in a step and every
+     `ONEPORT_X:` env key in .github/workflows/*.yml must name a catalog
+     knob.  Once a knob is retired, a stale step such as
+     `ONEPORT_OLD=1 ./tests/some_test` still passes while testing
+     nothing; this check turns it into a lint failure.  CMake options
+     (`-DONEPORT_*`) are build-time, not runtime knobs, and are exempt.
 
 Usage:
   tools/lint/check_env_knobs.py              # lint the repo
@@ -38,6 +44,11 @@ SUFFIXES = {".hpp", ".h", ".cpp", ".cc"}
 REGISTRY_CPP = "src/util/env_knobs.cpp"
 REGISTRY_HPP = "src/util/env_knobs.hpp"
 KNOBS_DOC = "docs/KNOBS.md"
+WORKFLOWS_DIR = ".github/workflows"
+# An assignment `ONEPORT_X=...` not glued to a preceding word character,
+# so `-DONEPORT_X=...` (a CMake option) never matches.
+WORKFLOW_ASSIGN_RE = re.compile(r"(?<![A-Za-z0-9_])(ONEPORT_[A-Z0-9_]+)=")
+WORKFLOW_ENV_KEY_RE = re.compile(r"^\s*(ONEPORT_[A-Z0-9_]+)\s*:")
 
 
 def parse_catalog(repo: pathlib.Path) -> dict[str, tuple[str, str]]:
@@ -131,6 +142,26 @@ def lint_tree(repo: pathlib.Path) -> list[str]:
             f"{KNOBS_DOC}: documents {name} which is not in the registry "
             f"catalog ({REGISTRY_CPP})"
         )
+
+    # 4. CI workflows only set registered knobs.
+    workflows = repo / WORKFLOWS_DIR
+    if workflows.is_dir():
+        for path in sorted(workflows.glob("*.yml")):
+            rel = path.relative_to(repo)
+            for lineno, line in enumerate(
+                path.read_text(errors="replace").splitlines(), start=1
+            ):
+                names = WORKFLOW_ASSIGN_RE.findall(line)
+                key = WORKFLOW_ENV_KEY_RE.match(line)
+                if key:
+                    names.append(key.group(1))
+                for name in names:
+                    if name not in catalog:
+                        errors.append(
+                            f"{rel}:{lineno}: sets {name}, which is not a "
+                            f"registered knob -- the step tests nothing "
+                            f"(catalog: {REGISTRY_CPP})"
+                        )
     return errors
 
 
@@ -167,7 +198,37 @@ def self_test(repo: pathlib.Path) -> int:
         if not any("ONEPORT_PROFILE" in e for e in errors):
             print("self-test FAILED: undocumented knob not caught")
             return 1
-    print("check_env_knobs self-test OK (both injected violations caught)")
+        shutil.copy(repo / KNOBS_DOC, doc)
+        # Violation C: CI steps setting unregistered knobs, next to a
+        # registered assignment, a registered env key and a CMake option
+        # that must all pass.
+        workflow = fake / WORKFLOWS_DIR / "ci.yml"
+        workflow.parent.mkdir(parents=True)
+        workflow.write_text(
+            "jobs:\n"
+            "  sweep:\n"
+            "    steps:\n"
+            "      - run: cmake -B build -DONEPORT_WERROR=ON\n"
+            "      - env:\n"
+            "          ONEPORT_SWEEP_SEEDS: 24\n"
+            "          ONEPORT_GHOST: 1\n"
+            "        run: |\n"
+            "          ONEPORT_PROFILE=1 ./tests/property_sweep_test\n"
+            "          ONEPORT_RETIRED=old ./tests/property_sweep_test\n"
+        )
+        errors = lint_tree(fake)
+        flagged = sorted(
+            name for name in ("ONEPORT_GHOST", "ONEPORT_RETIRED",
+                              "ONEPORT_WERROR", "ONEPORT_SWEEP_SEEDS",
+                              "ONEPORT_PROFILE")
+            if any(f"sets {name}," in e for e in errors)
+        )
+        if flagged != ["ONEPORT_GHOST", "ONEPORT_RETIRED"]:
+            print(f"self-test FAILED: workflow check flagged {flagged}, "
+                  f"expected exactly ONEPORT_GHOST and ONEPORT_RETIRED")
+            return 1
+    print("check_env_knobs self-test OK (all three injected violations "
+          "caught)")
     return 0
 
 
