@@ -16,7 +16,10 @@
 //   * the timeline under an adversarial middle-insert workload, with its
 //     deferred-compaction cost pinned by OP_ASSERT to the documented
 //     O(n * sqrt(n)) total -- a regression to quadratic middle-inserts
-//     aborts the bench instead of just slowing it.
+//     aborts the bench instead of just slowing it;
+//   * the post-schedule layers on their own (io/): validate_one_port and
+//     write_schedule over the 100k-task HEFT schedule, and the DOT / JSON
+//     graph exporters at 10k tasks, each with a `bytes` counter.
 //
 // Every bench forwards the per-thread scalability profiler: run with
 // ONEPORT_PROFILE=1 and the hot-path counter aggregate appears as
@@ -53,7 +56,9 @@
 #include "dynamic/reschedule.hpp"
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
+#include "sched/serialize.hpp"
 #include "sched/timeline.hpp"
+#include "sched/validate.hpp"
 #include "testbeds/testbeds.hpp"
 #include "util/error.hpp"
 #include "util/profiler.hpp"
@@ -86,6 +91,22 @@ const TaskGraph& scale_graph(int n) {
 const Platform& paper_platform() {
   static const Platform* platform = new Platform(make_paper_platform());
   return *platform;
+}
+
+/// The scale/n=100000 one-port HEFT schedule, built on first use -- never
+/// inside a timing loop -- and checked valid.
+const Schedule& scale_heft_schedule_100k() {
+  static const Schedule* schedule = [] {
+    const TaskGraph& graph = scale_graph(100000);
+    const auto* s = new Schedule(
+        heft(graph, paper_platform(), {.model = EftEngine::Model::kOnePort}));
+    const ValidationResult verdict =
+        validate_one_port(*s, graph, paper_platform());
+    OP_ASSERT(verdict.ok(), "scale/n=100000 heft-oneport schedule invalid: "
+                                << verdict.message().substr(0, 200));
+    return s;
+  }();
+  return *schedule;
 }
 
 /// Profiler bridge for every bench in this binary.  With ONEPORT_PROFILE
@@ -431,12 +452,15 @@ void register_service_benchmarks() {
           }
           svc.drain();
         }
+        // Rates divide by wall time (UseRealTime below): the submitting
+        // thread's CPU time omits the shard workers' scheduling.
         state.counters["schedules_per_s"] = benchmark::Counter(
             static_cast<double>(stream.size()),
             benchmark::Counter::kIsIterationInvariantRate);
         state.counters["requests"] = static_cast<double>(stream.size());
         attach_profile_counters(state);
       })
+      ->UseRealTime()
       ->Unit(benchmark::kMillisecond);
 
   benchmark::RegisterBenchmark(
@@ -462,6 +486,7 @@ void register_service_benchmarks() {
             service::latency_percentile_ms(latencies, 0.99);
         attach_profile_counters(state);
       })
+      ->UseRealTime()
       ->Unit(benchmark::kMillisecond);
 }
 
@@ -572,6 +597,70 @@ void register_import_benchmarks() {
   }
 }
 
+/// The layers every schedule passes through after scheduling: the
+/// independent one-port validator and the schedule writer over the 100k
+/// HEFT schedule, and the DOT / JSON graph exporters (routed traces are
+/// exported with them) at 10k tasks.
+void register_io_benchmarks() {
+  benchmark::RegisterBenchmark(
+      "io/validate_one_port/n=100000",
+      [](benchmark::State& state) {
+        const TaskGraph& graph = scale_graph(100000);
+        const Schedule& schedule = scale_heft_schedule_100k();
+        bool ok = false;
+        prof::reset();
+        for (auto _ : state) {
+          ok = validate_one_port(schedule, graph, paper_platform()).ok();
+          benchmark::DoNotOptimize(ok);
+        }
+        OP_ASSERT(ok, "validate_one_port rejected the scale schedule");
+        state.counters["messages"] =
+            static_cast<double>(schedule.num_comms());
+        attach_profile_counters(state);
+      })
+      ->Unit(benchmark::kMillisecond);
+
+  // One text writer into a fresh ostringstream per iteration, the way
+  // callers use them; `bytes` is the output size.
+  const auto register_writer = [](const std::string& name, auto setup,
+                                  auto write) {
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [setup, write](benchmark::State& state) {
+          const auto& input = setup();
+          std::int64_t bytes = 0;
+          prof::reset();
+          for (auto _ : state) {
+            std::ostringstream os;
+            write(os, input);
+            bytes = static_cast<std::int64_t>(os.tellp());
+            benchmark::DoNotOptimize(bytes);
+            benchmark::ClobberMemory();
+          }
+          state.counters["bytes"] = static_cast<double>(bytes);
+          state.SetBytesProcessed(state.iterations() * bytes);
+          attach_profile_counters(state);
+        })
+        ->Unit(benchmark::kMillisecond);
+  };
+  register_writer(
+      "io/write_schedule/n=100000",
+      []() -> const Schedule& { return scale_heft_schedule_100k(); },
+      [](std::ostream& os, const Schedule& s) { write_schedule(os, s); });
+  register_writer(
+      "io/export/dot/n=10000",
+      []() -> const TaskGraph& { return scale_graph(10000); },
+      [](std::ostream& os, const TaskGraph& g) {
+        write_dot(os, g, {.graph_name = "bench", .max_tasks = g.num_tasks()});
+      });
+  register_writer(
+      "io/export/json/n=10000",
+      []() -> const TaskGraph& { return scale_graph(10000); },
+      [](std::ostream& os, const TaskGraph& g) {
+        write_json_graph(os, g, {.graph_name = "bench"});
+      });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -583,6 +672,7 @@ int main(int argc, char** argv) {
   register_service_benchmarks();
   register_exact_benchmarks();
   register_import_benchmarks();
+  register_io_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

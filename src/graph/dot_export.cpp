@@ -1,9 +1,9 @@
 #include "graph/dot_export.hpp"
 
-#include <ostream>
+#include <algorithm>
 
-#include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/text_writer.hpp"
 
 namespace oneport {
 
@@ -11,32 +11,50 @@ void write_dot(std::ostream& os, const TaskGraph& g,
                const DotOptions& options) {
   OP_REQUIRE(g.finalized(), "graph must be finalized");
   const std::size_t shown = std::min(g.num_tasks(), options.max_tasks);
-  os << "digraph " << options.graph_name << " {\n";
-  os << "  rankdir=TB;\n  node [shape=circle];\n";
+  TextWriter out(os);
+  out.put("digraph ");
+  out.put(options.graph_name);
+  out.put(" {\n  rankdir=TB;\n  node [shape=circle];\n");
   if (shown < g.num_tasks()) {
-    os << "  // truncated: showing " << shown << " of " << g.num_tasks()
-       << " tasks\n";
+    out.put("  // truncated: showing ");
+    out.put_int(shown);
+    out.put(" of ");
+    out.put_int(g.num_tasks());
+    out.put(" tasks\n");
   }
   for (TaskId v = 0; v < shown; ++v) {
-    os << "  n" << v << " [label=\"";
+    out.put("  n");
+    out.put_int(v);
+    out.put(" [label=\"");
     if (g.name(v).empty()) {
-      os << 'v' << v;
+      out.put('v');
+      out.put_int(v);
     } else {
-      os << g.name(v);
+      out.put(g.name(v));
     }
-    if (options.show_weights) os << "\\nw=" << csv::format_number(g.weight(v));
-    os << "\"];\n";
+    if (options.show_weights) {
+      out.put("\\nw=");
+      out.put_number(g.weight(v));
+    }
+    out.put("\"];\n");
   }
   for (TaskId v = 0; v < shown; ++v) {
     for (const EdgeRef& e : g.successors(v)) {
       if (e.task >= shown) continue;
-      os << "  n" << v << " -> n" << e.task;
-      if (options.show_weights)
-        os << " [label=\"" << csv::format_number(e.data) << "\"]";
-      os << ";\n";
+      out.put("  n");
+      out.put_int(v);
+      out.put(" -> n");
+      out.put_int(e.task);
+      if (options.show_weights) {
+        out.put(" [label=\"");
+        out.put_number(e.data);
+        out.put("\"]");
+      }
+      out.put(";\n");
     }
   }
-  os << "}\n";
+  out.put("}\n");
+  out.flush();
 }
 
 }  // namespace oneport

@@ -3,13 +3,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/text_writer.hpp"
 
 namespace oneport {
 
@@ -467,19 +466,19 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-/// JSON string escaping for task/graph names (the exporter's inverse of
+/// Writes `s` as a quoted JSON string (the exporter's inverse of
 /// JsonParser::parse_string).
-std::string json_escape(const std::string& s) {
-  std::string out;
+void put_json_string(TextWriter& out, const std::string& s) {
+  out.put('"');
   for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
+    if (c == '"' || c == '\\') out.put('\\');
     if (c == '\n') {
-      out += "\\n";
+      out.put("\\n");
       continue;
     }
-    out += c;
+    out.put(c);
   }
-  return out;
+  out.put('"');
 }
 
 }  // namespace
@@ -530,27 +529,39 @@ ImportedGraph load_task_graph(const std::string& path) {
 void write_json_graph(std::ostream& os, const TaskGraph& g,
                       const JsonGraphOptions& options) {
   OP_REQUIRE(g.finalized(), "graph must be finalized");
-  os << "{\n  \"name\": \"" << json_escape(options.graph_name) << "\",\n";
-  os << "  \"tasks\": [";
+  TextWriter out(os);
+  out.put("{\n  \"name\": ");
+  put_json_string(out, options.graph_name);
+  out.put(",\n  \"tasks\": [");
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
-    os << (v == 0 ? "\n" : ",\n") << "    {\"id\": " << v << ", \"w\": "
-       << csv::format_number(g.weight(v));
+    out.put(v == 0 ? "\n" : ",\n");
+    out.put("    {\"id\": ");
+    out.put_int(v);
+    out.put(", \"w\": ");
+    out.put_number(g.weight(v));
     if (!g.name(v).empty()) {
-      os << ", \"name\": \"" << json_escape(g.name(v)) << "\"";
+      out.put(", \"name\": ");
+      put_json_string(out, g.name(v));
     }
-    os << "}";
+    out.put('}');
   }
-  os << "\n  ],\n  \"edges\": [";
+  out.put("\n  ],\n  \"edges\": [");
   bool first = true;
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
     for (const EdgeRef& e : g.successors(v)) {
-      os << (first ? "\n" : ",\n") << "    {\"src\": " << v
-         << ", \"dst\": " << e.task << ", \"data\": "
-         << csv::format_number(e.data) << "}";
+      out.put(first ? "\n" : ",\n");
+      out.put("    {\"src\": ");
+      out.put_int(v);
+      out.put(", \"dst\": ");
+      out.put_int(e.task);
+      out.put(", \"data\": ");
+      out.put_number(e.data);
+      out.put('}');
       first = false;
     }
   }
-  os << "\n  ]\n}\n";
+  out.put("\n  ]\n}\n");
+  out.flush();
 }
 
 }  // namespace oneport

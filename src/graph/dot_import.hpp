@@ -75,9 +75,9 @@ struct ImportedGraph {
 [[nodiscard]] ImportedGraph load_task_graph(const std::string& path);
 
 /// JSON export, the counterpart of write_dot: a {"name", "tasks",
-/// "edges"} document with weights/data rendered through the same
-/// csv::format_number the DOT exporter uses, so both formats round-trip
-/// byte-identically through their importers.
+/// "edges"} document with weights/data rendered as csv::format_number
+/// renders them, exactly like the DOT exporter, so both formats
+/// round-trip byte-identically through their importers.
 struct JsonGraphOptions {
   std::string graph_name = "taskgraph";
 };

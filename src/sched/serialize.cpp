@@ -1,13 +1,11 @@
 #include "sched/serialize.hpp"
 
-#include <iomanip>
 #include <istream>
-#include <limits>
-#include <ostream>
 #include <sstream>
 #include <string>
 
 #include "util/error.hpp"
+#include "util/text_writer.hpp"
 
 namespace oneport {
 
@@ -40,25 +38,35 @@ class LineReader {
   int line_number_ = 0;
 };
 
-std::ostream& full_precision(std::ostream& os) {
-  return os << std::setprecision(std::numeric_limits<double>::max_digits10);
-}
-
 }  // namespace
 
 void write_task_graph(std::ostream& os, const TaskGraph& graph) {
   OP_REQUIRE(graph.finalized(), "graph must be finalized");
-  full_precision(os) << "taskgraph v1\n";
+  TextWriter out(os);
+  out.put("taskgraph v1\n");
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    os << "task " << v << ' ' << graph.weight(v);
-    if (!graph.name(v).empty()) os << ' ' << graph.name(v);
-    os << '\n';
+    out.put("task ");
+    out.put_int(v);
+    out.put(' ');
+    out.put_real(graph.weight(v));
+    if (!graph.name(v).empty()) {
+      out.put(' ');
+      out.put(graph.name(v));
+    }
+    out.put('\n');
   }
   for (TaskId u = 0; u < graph.num_tasks(); ++u) {
     for (const EdgeRef& e : graph.successors(u)) {
-      os << "edge " << u << ' ' << e.task << ' ' << e.data << '\n';
+      out.put("edge ");
+      out.put_int(u);
+      out.put(' ');
+      out.put_int(e.task);
+      out.put(' ');
+      out.put_real(e.data);
+      out.put('\n');
     }
   }
+  out.flush();
 }
 
 TaskGraph read_task_graph(std::istream& is) {
@@ -101,17 +109,37 @@ TaskGraph read_task_graph(std::istream& is) {
 }
 
 void write_schedule(std::ostream& os, const Schedule& schedule) {
-  full_precision(os) << "schedule v1\n";
+  OP_REQUIRE(schedule.complete(), "cannot serialize an incomplete schedule");
+  TextWriter out(os);
+  out.put("schedule v1\n");
   for (TaskId v = 0; v < schedule.num_tasks(); ++v) {
-    const TaskPlacement& t = schedule.task(v);
-    OP_REQUIRE(t.placed(), "cannot serialize an incomplete schedule");
-    os << "task " << v << ' ' << t.proc << ' ' << t.start << ' ' << t.finish
-       << '\n';
+    const TaskPlacement& t = schedule.tasks()[v];
+    out.put("task ");
+    out.put_int(v);
+    out.put(' ');
+    out.put_int(t.proc);
+    out.put(' ');
+    out.put_real(t.start);
+    out.put(' ');
+    out.put_real(t.finish);
+    out.put('\n');
   }
   for (const CommPlacement& c : schedule.comms()) {
-    os << "comm " << c.src << ' ' << c.dst << ' ' << c.from << ' ' << c.to
-       << ' ' << c.start << ' ' << c.finish << '\n';
+    out.put("comm ");
+    out.put_int(c.src);
+    out.put(' ');
+    out.put_int(c.dst);
+    out.put(' ');
+    out.put_int(c.from);
+    out.put(' ');
+    out.put_int(c.to);
+    out.put(' ');
+    out.put_real(c.start);
+    out.put(' ');
+    out.put_real(c.finish);
+    out.put('\n');
   }
+  out.flush();
 }
 
 Schedule read_schedule(std::istream& is) {

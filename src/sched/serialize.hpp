@@ -11,8 +11,15 @@
 //   task <id> <proc> <start> <finish>
 //   comm <src> <dst> <from> <to> <start> <finish>
 //
-// Doubles are printed with max_digits10, so a write/read round trip is
-// bit-exact.
+// Byte contract: a double is printed as printf "%.17g" prints it
+// (max_digits10 significant digits, via std::to_chars), an integer as
+// its plain decimal, fields separated by one space, lines ended by '\n'.
+// The bytes are identical to those of earlier versions, which formatted
+// through iostreams at setprecision(17) (tests/text_oracle_test.cpp
+// compares the two), and a write/read round trip is bit-exact.  The
+// writers buffer in fixed-size chunks, never read or change the stream's
+// format flags or precision, and write nothing when they throw on a
+// precondition (an unfinalized graph, an incomplete schedule).
 #pragma once
 
 #include <iosfwd>

@@ -1,8 +1,10 @@
 #include "sched/validate.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
+#include <span>
 #include <sstream>
+#include <utility>
 
 #include "sched/interval.hpp"
 
@@ -18,6 +20,95 @@ std::string ValidationResult::message() const {
 }
 
 namespace {
+
+/// Message positions grouped by `key(message)`, which must be below
+/// `keys`, each group in comms() order (a stable counting sort); `first`
+/// gets the `keys` + 1 group offsets into the result.
+template <typename Key>
+std::vector<std::size_t> group_by(const std::vector<CommPlacement>& comms,
+                                  std::size_t keys, Key key,
+                                  std::vector<std::size_t>& first) {
+  first.assign(keys + 1, 0);
+  for (const CommPlacement& c : comms) ++first[key(c)];
+  for (std::size_t k = 0; k < keys; ++k) first[k + 1] += first[k];
+  // first[k] is now the end of group k; filling back to front leaves it
+  // at the group's start.
+  std::vector<std::size_t> grouped(comms.size());
+  for (std::size_t i = comms.size(); i-- > 0;) {
+    grouped[--first[key(comms[i])]] = i;
+  }
+  return grouped;
+}
+
+/// Flat index of a schedule's messages by edge: positions into comms()
+/// grouped by source (counting sort), each source's group ordered by
+/// (dst, position).  The messages of edge u->v are one contiguous run, in
+/// comms() order, inside u's group, whose runs ascend by dst; the error
+/// messages depend on both orders.
+class MessageIndex {
+ public:
+  /// Requires every message's src and dst below `num_tasks` (Schedule
+  /// guarantees it for its own task count).
+  MessageIndex(const std::vector<CommPlacement>& comms, std::size_t num_tasks)
+      : comms_(comms),
+        order_(group_by(
+            comms, num_tasks,
+            [](const CommPlacement& c) -> std::size_t { return c.src; },
+            src_first_)),
+        claimed_(comms.size(), 0) {
+    for (std::size_t u = 0; u < num_tasks; ++u) {
+      std::sort(order_.begin() + static_cast<std::ptrdiff_t>(src_first_[u]),
+                order_.begin() + static_cast<std::ptrdiff_t>(src_first_[u + 1]),
+                [&comms](std::size_t a, std::size_t b) {
+                  return comms[a].dst != comms[b].dst
+                             ? comms[a].dst < comms[b].dst
+                             : a < b;
+                });
+    }
+  }
+
+  /// Edge u->v's messages as positions into comms(), in comms() order
+  /// (empty when there are none), and marks them claimed.  The caller may
+  /// reorder the run.
+  std::span<std::size_t> claim(TaskId u, TaskId v) {
+    const auto base = order_.begin();
+    const auto group_end =
+        base + static_cast<std::ptrdiff_t>(src_first_[u + 1]);
+    const auto first = std::lower_bound(
+        base + static_cast<std::ptrdiff_t>(src_first_[u]), group_end, v,
+        [this](std::size_t i, TaskId key) { return comms_[i].dst < key; });
+    auto last = first;
+    while (last != group_end && comms_[*last].dst == v) ++last;
+    if (first != last) claimed_[static_cast<std::size_t>(first - base)] = 1;
+    return {first, last};
+  }
+
+  /// Calls f(src, dst) for every (src, dst) with messages that no claim()
+  /// reached, in ascending (src, dst) order.
+  template <typename F>
+  void for_each_unclaimed(F&& f) const {
+    for (std::size_t k = 0; k < order_.size(); ++k) {
+      const CommPlacement& c = comms_[order_[k]];
+      const bool opens_run = k == 0 || comms_[order_[k - 1]].src != c.src ||
+                             comms_[order_[k - 1]].dst != c.dst;
+      if (opens_run && !claimed_[k]) f(c.src, c.dst);
+    }
+  }
+
+ private:
+  const std::vector<CommPlacement>& comms_;
+  std::vector<std::size_t> src_first_;  // filled by order_'s initializer
+  std::vector<std::size_t> order_;
+  std::vector<char> claimed_;  // by index of a run's first entry
+};
+
+/// What the port checks read of a message.
+struct PortMessage {
+  double start;
+  double finish;
+  TaskId src;
+  TaskId dst;
+};
 
 class Checker {
  public:
@@ -93,64 +184,62 @@ class Checker {
   }
 
   void check_edges_and_comms() {
-    // Group messages by edge for lookup and spurious-message detection.
-    std::map<std::pair<TaskId, TaskId>, std::vector<const CommPlacement*>>
-        by_edge;
-    for (const CommPlacement& c : sched_.comms()) {
-      by_edge[{c.src, c.dst}].push_back(&c);
-    }
+    const std::vector<CommPlacement>& comms = sched_.comms();
+    MessageIndex index(comms, graph_.num_tasks());
 
     for (TaskId u = 0; u < graph_.num_tasks(); ++u) {
       const TaskPlacement& tu = sched_.task(u);
       for (const EdgeRef& e : graph_.successors(u)) {
         const TaskId v = e.task;
+        // Claimed before the placement test: a message of a real edge is
+        // never spurious, whatever its endpoints' state.
+        const std::span<std::size_t> chain = index.claim(u, v);
         const TaskPlacement& tv = sched_.task(v);
         if (!tu.placed() || !tv.placed()) continue;
-        const auto it = by_edge.find({u, v});
-        const std::size_t n_msgs =
-            it == by_edge.end() ? 0 : it->second.size();
         if (tu.proc == tv.proc) {
           if (tv.start < tu.finish - kTimeEps) {
             fail("M4: edge ", u, "->", v, ": successor starts at ", tv.start,
                  " before predecessor finishes at ", tu.finish);
           }
-          if (n_msgs != 0) {
+          if (!chain.empty()) {
             fail("M5: edge ", u, "->", v,
                  ": message present although endpoints share P", tu.proc);
           }
           continue;
         }
-        if (n_msgs == 0) {
+        if (chain.empty()) {
           fail("M4: edge ", u, "->", v, ": expected a message, found none");
           continue;
         }
         // The messages must form a store-and-forward chain from the
         // source's processor to the sink's (one hop on fully connected
         // networks, several along a routed path -- the §4.3 extension).
-        std::vector<const CommPlacement*> chain = it->second;
+        // std::sort is not stable: equal starts keep the order this call
+        // gives them from the run's comms() order.
         std::sort(chain.begin(), chain.end(),
-                  [](const CommPlacement* a, const CommPlacement* b) {
-                    return a->start < b->start;
+                  [&comms](std::size_t a, std::size_t b) {
+                    return comms[a].start < comms[b].start;
                   });
-        if (chain.front()->from != tu.proc) {
-          fail("M5: edge ", u, "->", v, ": first hop leaves P",
-               chain.front()->from, " but the source sits on P", tu.proc);
+        const CommPlacement& head = comms[chain.front()];
+        const CommPlacement& tail = comms[chain.back()];
+        if (head.from != tu.proc) {
+          fail("M5: edge ", u, "->", v, ": first hop leaves P", head.from,
+               " but the source sits on P", tu.proc);
         }
-        if (chain.back()->to != tv.proc) {
-          fail("M5: edge ", u, "->", v, ": last hop reaches P",
-               chain.back()->to, " but the sink sits on P", tv.proc);
+        if (tail.to != tv.proc) {
+          fail("M5: edge ", u, "->", v, ": last hop reaches P", tail.to,
+               " but the sink sits on P", tv.proc);
         }
-        if (chain.front()->start < tu.finish - kTimeEps) {
-          fail("M4: edge ", u, "->", v, ": first hop starts at ",
-               chain.front()->start, " before source finishes at ",
-               tu.finish);
+        if (head.start < tu.finish - kTimeEps) {
+          fail("M4: edge ", u, "->", v, ": first hop starts at ", head.start,
+               " before source finishes at ", tu.finish);
         }
-        if (tv.start < chain.back()->finish - kTimeEps) {
+        if (tv.start < tail.finish - kTimeEps) {
           fail("M4: edge ", u, "->", v, ": successor starts at ", tv.start,
-               " before the last hop arrives at ", chain.back()->finish);
+               " before the last hop arrives at ", tail.finish);
         }
         for (std::size_t h = 0; h < chain.size(); ++h) {
-          const CommPlacement& c = *chain[h];
+          const CommPlacement& c = comms[chain[h]];
           const double expected = platform_.comm_time(e.data, c.from, c.to);
           if (!close(c.finish - c.start, expected)) {
             fail("M4: edge ", u, "->", v, " hop P", c.from, "->P", c.to,
@@ -158,7 +247,7 @@ class Checker {
                  expected);
           }
           if (h > 0) {
-            const CommPlacement& prev = *chain[h - 1];
+            const CommPlacement& prev = comms[chain[h - 1]];
             if (c.from != prev.to) {
               fail("M5: edge ", u, "->", v, ": hop P", c.from, "->P", c.to,
                    " does not continue from P", prev.to);
@@ -174,46 +263,67 @@ class Checker {
     }
 
     // Spurious messages: every recorded message must match a graph edge.
-    for (const auto& [key, msgs] : by_edge) {
-      const auto [u, v] = key;
-      const bool edge_exists = u < graph_.num_tasks() &&
-                               v < graph_.num_tasks() && graph_.has_edge(u, v);
-      if (!edge_exists) {
-        fail("M5: message for non-existent edge ", u, "->", v);
-      }
-    }
+    index.for_each_unclaimed([this](TaskId u, TaskId v) {
+      fail("M5: message for non-existent edge ", u, "->", v);
+    });
   }
 
   void check_ports() {
+    const std::vector<CommPlacement>& comms = sched_.comms();
     const auto p = static_cast<std::size_t>(platform_.num_processors());
-    std::vector<std::vector<const CommPlacement*>> sends(p), recvs(p);
-    for (const CommPlacement& c : sched_.comms()) {
-      if (c.from >= 0 && static_cast<std::size_t>(c.from) < p)
-        sends[static_cast<std::size_t>(c.from)].push_back(&c);
-      if (c.to >= 0 && static_cast<std::size_t>(c.to) < p)
-        recvs[static_cast<std::size_t>(c.to)].push_back(&c);
+    // Message positions grouped by sending and by receiving processor,
+    // each group in comms() order; group p gathers ids off the platform,
+    // which no port check reads.
+    const auto port = [p](ProcId q) {
+      return q >= 0 && static_cast<std::size_t>(q) < p
+                 ? static_cast<std::size_t>(q)
+                 : p;
+    };
+    std::vector<std::size_t> send_first, recv_first;
+    const std::vector<std::size_t> sends = group_by(
+        comms, p + 1,
+        [&port](const CommPlacement& c) { return port(c.from); }, send_first);
+    const std::vector<std::size_t> recvs = group_by(
+        comms, p + 1,
+        [&port](const CommPlacement& c) { return port(c.to); }, recv_first);
+
+    std::size_t largest = 0;
+    for (std::size_t q = 0; q < p; ++q) {
+      largest = std::max({largest, send_first[q + 1] - send_first[q],
+                          recv_first[q + 1] - recv_first[q]});
     }
-    auto check_port = [this](std::vector<const CommPlacement*>& msgs,
-                             const char* kind, std::size_t proc) {
-      std::sort(msgs.begin(), msgs.end(),
-                [](const CommPlacement* a, const CommPlacement* b) {
-                  return a->start < b->start;
+    std::vector<PortMessage> queue;  // one port's messages at a time
+    queue.reserve(largest);
+    auto check_port = [&](const std::vector<std::size_t>& grouped,
+                          const std::vector<std::size_t>& first,
+                          std::size_t q, const char* kind) {
+      queue.clear();
+      for (std::size_t k = first[q]; k < first[q + 1]; ++k) {
+        const CommPlacement& c = comms[grouped[k]];
+        queue.push_back({c.start, c.finish, c.src, c.dst});
+      }
+      // The queue starts in comms() order; as for chains, equal starts
+      // keep the order this std::sort call gives them, and the errors
+      // name the pairs that order puts side by side.
+      std::sort(queue.begin(), queue.end(),
+                [](const PortMessage& a, const PortMessage& b) {
+                  return a.start < b.start;
                 });
       // Pairwise check against the running maximum end; O(n log n) total.
-      const CommPlacement* prev = nullptr;
-      for (const CommPlacement* c : msgs) {
-        if (Interval{c->start, c->finish}.degenerate()) continue;
+      const PortMessage* prev = nullptr;
+      for (const PortMessage& c : queue) {
+        if (Interval{c.start, c.finish}.degenerate()) continue;
         if (prev != nullptr &&
-            overlaps({prev->start, prev->finish}, {c->start, c->finish})) {
-          fail(kind, " port of P", proc, ": messages ", prev->src, "->",
-               prev->dst, " and ", c->src, "->", c->dst, " overlap");
+            overlaps({prev->start, prev->finish}, {c.start, c.finish})) {
+          fail(kind, " port of P", q, ": messages ", prev->src, "->",
+               prev->dst, " and ", c.src, "->", c.dst, " overlap");
         }
-        if (prev == nullptr || c->finish > prev->finish) prev = c;
+        if (prev == nullptr || c.finish > prev->finish) prev = &c;
       }
     };
     for (std::size_t q = 0; q < p; ++q) {
-      check_port(sends[q], "O1: send", q);
-      check_port(recvs[q], "O2: receive", q);
+      check_port(sends, send_first, q, "O1: send");
+      check_port(recvs, recv_first, q, "O2: receive");
     }
   }
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "util/error.hpp"
+#include "util/text_writer.hpp"
 
 namespace oneport::csv {
 
@@ -54,13 +54,9 @@ void Table::write_pretty(std::ostream& os) const {
 }
 
 std::string format_number(double value, int digits) {
-  std::ostringstream oss;
-  oss << std::fixed << std::setprecision(digits) << value;
-  std::string s = oss.str();
-  if (s.find('.') != std::string::npos) {
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
-  }
+  std::string s(max_trimmed_fixed_chars(digits), '\0');
+  s.resize(static_cast<std::size_t>(
+      format_trimmed_fixed(s.data(), value, digits) - s.data()));
   return s;
 }
 

@@ -37,8 +37,8 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats a double with `digits` significant decimal places, trimming
-/// trailing zeros ("3.50" -> "3.5", "4.00" -> "4").
+/// Formats a double with `digits` decimal places (printf "%.*f"
+/// rounding), trimming trailing zeros ("3.50" -> "3.5", "4.00" -> "4").
 [[nodiscard]] std::string format_number(double value, int digits = 3);
 
 }  // namespace oneport::csv

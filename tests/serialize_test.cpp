@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
 
 #include "core/heft.hpp"
@@ -85,6 +86,28 @@ TEST(SerializeSchedule, IncompleteScheduleRejected) {
   s.place_task(0, 0, 0.0, 1.0);
   std::stringstream buffer;
   EXPECT_THROW(write_schedule(buffer, s), std::invalid_argument);
+  // Rejected before the first byte: no truncated file is left behind.
+  EXPECT_TRUE(buffer.str().empty()) << buffer.str();
+}
+
+TEST(SerializeStream, WritersLeaveTheCallersPrecisionAlone) {
+  const TaskGraph g = testbeds::make_lu(4, 10.0);
+  const Schedule s = heft(g, make_paper_platform(),
+                          {.model = EftEngine::Model::kOnePort});
+  for (const bool graph : {false, true}) {
+    std::ostringstream os;
+    os << std::setprecision(3);
+    if (graph) {
+      write_task_graph(os, g);
+    } else {
+      write_schedule(os, s);
+    }
+    EXPECT_EQ(os.precision(), 3) << (graph ? "write_task_graph"
+                                           : "write_schedule");
+    os.str("");
+    os << 0.123456;
+    EXPECT_EQ(os.str(), "0.123");
+  }
 }
 
 TEST(SerializeSchedule, RejectsMalformedInput) {

@@ -5,11 +5,9 @@
 
 #include "core/heft.hpp"
 #include "core/ilha.hpp"
-#include "core/registry.hpp"
 #include "dynamic/events.hpp"
 #include "dynamic/reschedule.hpp"
 #include "platform/routing.hpp"
-#include "support/scenario.hpp"
 #include "testbeds/testbeds.hpp"
 
 namespace oneport::testsupport {
@@ -82,22 +80,13 @@ CommModel model_of(const SchedulerEntry& entry) {
              : CommModel::kMacroDataflow;
 }
 
-std::vector<SchedulerEntry> registry_for(const Scenario& scenario) {
-  return builtin_schedulers(SchedulerConfig{
-      .ilha_chunk_size = 5, .routing = scenario.routing_ptr()});
-}
-
 void append(std::vector<Scenario>& to, std::vector<Scenario> from) {
   for (Scenario& s : from) to.push_back(std::move(s));
 }
 
 void static_rows(std::vector<FrozenRow>& rows) {
-  std::vector<Scenario> scenarios = scenario_sweep(8087, 8);
-  append(scenarios, edge_case_scenarios());
-  append(scenarios, routed_scenario_sweep(9091, 10));
-  append(scenarios, workload_scenario_sweep(9191, 4));
-  for (const Scenario& scenario : scenarios) {
-    for (const SchedulerEntry& entry : registry_for(scenario)) {
+  for (const Scenario& scenario : frozen_static_scenarios()) {
+    for (const SchedulerEntry& entry : frozen_registry(scenario)) {
       const Schedule s = entry.run(scenario.graph, scenario.platform);
       rows.push_back({"static/" + scenario.description + "/" + entry.name,
                       s.makespan(), digest(s)});
@@ -111,7 +100,7 @@ void dynamic_rows(std::vector<FrozenRow>& rows) {
   for (const Scenario& scenario : scenarios) {
     const SchedulerConfig config{.ilha_chunk_size = 5,
                                  .routing = scenario.routing_ptr()};
-    for (const SchedulerEntry& entry : registry_for(scenario)) {
+    for (const SchedulerEntry& entry : frozen_registry(scenario)) {
       const Schedule initial = entry.run(scenario.graph, scenario.platform);
       for (const char* trace_name :
            {"slowdown", "dropout", "mixed", "arrival"}) {
@@ -153,6 +142,19 @@ void heterogeneous_routed_rows(std::vector<FrozenRow>& rows) {
 }
 
 }  // namespace
+
+std::vector<Scenario> frozen_static_scenarios() {
+  std::vector<Scenario> scenarios = scenario_sweep(8087, 8);
+  append(scenarios, edge_case_scenarios());
+  append(scenarios, routed_scenario_sweep(9091, 10));
+  append(scenarios, workload_scenario_sweep(9191, 4));
+  return scenarios;
+}
+
+std::vector<SchedulerEntry> frozen_registry(const Scenario& scenario) {
+  return builtin_schedulers(SchedulerConfig{
+      .ilha_chunk_size = 5, .routing = scenario.routing_ptr()});
+}
 
 std::vector<FrozenRow> compute_frozen_rows() {
   std::vector<FrozenRow> rows;

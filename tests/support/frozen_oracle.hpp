@@ -24,6 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "core/registry.hpp"
+#include "support/scenario.hpp"
+
 namespace oneport::testsupport {
 
 struct FrozenRow {
@@ -33,6 +36,15 @@ struct FrozenRow {
 
   friend bool operator==(const FrozenRow&, const FrozenRow&) = default;
 };
+
+/// The static rotation behind the table's "static/" rows, in table
+/// order: scenario_sweep(8087, 8), the edge cases,
+/// routed_scenario_sweep(9091, 10) and workload_scenario_sweep(9191, 4).
+[[nodiscard]] std::vector<Scenario> frozen_static_scenarios();
+
+/// The 11-heuristic registry the table runs on `scenario`.
+[[nodiscard]] std::vector<SchedulerEntry> frozen_registry(
+    const Scenario& scenario);
 
 /// Recomputes every row with the library as built.
 [[nodiscard]] std::vector<FrozenRow> compute_frozen_rows();
