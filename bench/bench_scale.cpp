@@ -6,7 +6,9 @@
 //   * the same schedulers over sparse routed topologies (ring / star /
 //     random connected, plus the structured 2D mesh / torus / fat tree
 //     of ISSUE-4), so the store-and-forward evaluation path and the
-//     routed lower-bound pruning in evaluate_best are measured too;
+//     routed lower-bound pruning in evaluate_best are measured too, and
+//     MICROSVC's wide fan-in on a 64-processor mesh, where the routed
+//     one-port bounds prune the most;
 //   * the figure-grid sweep driver run serially vs with the thread pool
 //     -- including a routed grid -- so the parallel experiment runner is
 //     tracked end to end;
@@ -254,6 +256,47 @@ void register_routed_benchmarks() {
             ->Unit(benchmark::kMillisecond);
       }
     }
+  }
+  // Wide fan-in on many processors, the case the routed one-port bounds
+  // (send-port release, last-hop receive chain) exist for: MICROSVC
+  // joins every leaf into one aggregator, here on the 64-processor
+  // heterogeneous mesh routed cost-aware that perfbench's routed-trace
+  // runs.  The prof_prune_* counters show how many candidates each task
+  // evaluates in full.
+  for (const bool run_ilha : {false, true}) {
+    const std::string name =
+        std::string("routed/fanin-mesh8x8/n=80/") +
+        (run_ilha ? "ilha-oneport" : "heft-oneport") + "/gap-indexed";
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [run_ilha](benchmark::State& state) {
+          static const TaskGraph graph = testbeds::make_microsvc(80);
+          const std::shared_ptr<const RoutedPlatform> shared =
+              analysis::process_topology_cache().get(
+                  "mesh8x8:het0.5:swp", paper_platform().cycle_times(),
+                  /*link=*/1.0, /*seed=*/1);
+          const RoutedPlatform& routed = *shared;
+          double makespan = 0.0;
+          prof::reset();
+          for (auto _ : state) {
+            const Schedule s =
+                run_ilha ? ilha(graph, routed.platform,
+                                {.model = EftEngine::Model::kOnePort,
+                                 .chunk_size = 38,
+                                 .routing = &routed.routing})
+                         : heft(graph, routed.platform,
+                                {.model = EftEngine::Model::kOnePort,
+                                 .routing = &routed.routing});
+            makespan = s.makespan();
+            benchmark::DoNotOptimize(makespan);
+          }
+          state.counters["makespan"] = makespan;
+          state.counters["tasks_per_s"] = benchmark::Counter(
+              static_cast<double>(graph.num_tasks()),
+              benchmark::Counter::kIsIterationInvariantRate);
+          attach_profile_counters(state);
+        })
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

@@ -18,7 +18,6 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
       np_(static_cast<std::size_t>(platform.num_processors())),
       link_data_(platform.link_matrix().data()),
       cycle_data_(platform.cycle_times().data()),
-      dist_data_(routing != nullptr ? routing->distances().data() : nullptr),
       placements_(graph.num_tasks()),
       compute_(static_cast<std::size_t>(platform.num_processors())),
       send_(static_cast<std::size_t>(platform.num_processors())),
@@ -48,6 +47,38 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
     min_out_link_[static_cast<std::size_t>(q)] =
         std::isfinite(lo) ? lo : 0.0;
   }
+  // Route lanes.  Without a table every route is its own single hop, so
+  // both lanes are the link matrix.  With one, each pair folds its next
+  // hop's already-final entry, visiting sources in the table's route
+  // order: O(p^2) loads and no path walk.  The zero diagonal makes a
+  // one-hop route's cost the link cost exactly.  A pair whose route has a hole
+  // or a loop keeps +inf in both lanes, so its bound stays non-finite and
+  // evaluate_best evaluates it (and path_into raises) exactly as an
+  // exhaustive scan would.
+  if (routing == nullptr) {
+    last_hop_data_ = link_data_;
+    route_data_ = link_data_;
+    return;
+  }
+  const std::size_t np = np_;
+  route_lanes_.assign(2 * np * np, std::numeric_limits<double>::infinity());
+  double* const last = route_lanes_.data();
+  double* const route = last + np * np;
+  const int* const next = routing->next_hops().data();
+  const int* const order = routing->route_order().data();
+  for (std::size_t j = 0; j < np; ++j) {
+    last[j * np + j] = 0.0;
+    route[j * np + j] = 0.0;
+    for (std::size_t k = 1; k < np && order[j * np + k] >= 0; ++k) {
+      const auto i = static_cast<std::size_t>(order[j * np + k]);
+      const auto hop = static_cast<std::size_t>(next[i * np + j]);
+      const double cost = link_data_[i * np + hop];
+      last[i * np + j] = hop == j ? cost : last[hop * np + j];
+      route[i * np + j] = cost + route[hop * np + j];
+    }
+  }
+  last_hop_data_ = last;
+  route_data_ = route;
 }
 
 TimelineOverlay& EftEngine::overlay_of(
@@ -95,11 +126,12 @@ const std::vector<EftEngine::PredRec>& EftEngine::sorted_preds(
     std::sort(preds_.begin(), preds_.end(), before);
   }
   // Per-predecessor message release times for the one-port lower bound:
-  // a message from q can leave no earlier than the first slot on q's
-  // committed send port that fits the smallest possible transfer.  Port
-  // reservations only grow, so a release computed now stays a valid
-  // lower bound even if other commits land before the next evaluation.
-  if (model_ == Model::kOnePort && routing_ == nullptr) {
+  // a message from q -- the first hop of a routed one included -- can
+  // leave no earlier than the first slot on q's committed send port that
+  // fits the smallest possible transfer.  Port reservations only grow, so
+  // a release computed now stays a valid lower bound even if other
+  // commits land before the next evaluation.
+  if (model_ == Model::kOnePort) {
     for (PredRec& r : preds_) {
       const auto q = static_cast<std::size_t>(r.proc);
       const double min_duration = r.data * min_out_link_[q];
@@ -311,43 +343,41 @@ Evaluation EftEngine::evaluate(TaskId v, ProcId proc) const {
 }
 
 void EftEngine::fill_bounds(TaskId v) const {
-  // Every incoming message needs at least its (routed) transfer time
-  // after the predecessor finishes, and the task itself needs its
-  // execution time; port contention and compute gaps only push the real
-  // finish later.  Sound, so pruning on it cannot change evaluate_best's
+  // Every incoming message needs at least its route's transfer time after
+  // the predecessor finishes, and the task itself needs its execution
+  // time; port contention and compute gaps only push the real finish
+  // later.  Under the one-port model two terms tighten the arrival bound
+  // (proved in the header comment): the first hop waits for the sender's
+  // send port (`release`), and the last hops of all messages queue on
+  // the candidate's receive port (the ERD chain over `last_hop_data_`).
+  // Direct links are the case where the last hop and the route are the
+  // link itself.  Sound, so pruning on it cannot change evaluate_best's
   // answer.
-  //
-  // Under the one-port model with direct links the bound is tightened by
-  // the receive port: all incoming messages occupy proc's receive port
-  // disjointly, each releasable only once its source finished, so the
-  // earliest-release-date chain over the (finish-sorted) predecessors
-  // lower-bounds the last message arrival -- any feasible disjoint
-  // placement finishes no earlier than the ERD sequence.
   //
   // All processor lanes advance together in one pass over the
   // predecessor lanes: each predecessor updates every lane with the
-  // dense row of its link/distance costs, then restores its own lane to
-  // the same-processor recurrence.  Per lane this replays exactly the
-  // scalar per-processor recurrence (same operations, same order), so
-  // the bounds are bit-identical to evaluating one processor at a time.
+  // dense row of its route costs, then restores its own lane to the
+  // same-processor recurrence.  Per lane this replays exactly the scalar
+  // per-processor recurrence (same operations, same order), so the
+  // bounds are bit-identical to evaluating one processor at a time.
   const std::vector<PredRec>& preds = sorted_preds(v);
   const std::size_t np = np_;
   arr_scratch_.assign(np, 0.0);
   double* const arr = arr_scratch_.data();
-  if (model_ == Model::kOnePort && routing_ == nullptr) {
+  if (model_ == Model::kOnePort) {
     chain_scratch_.assign(np, 0.0);
     double* const chain = chain_scratch_.data();
     for (const PredRec& r : preds) {
       const auto q = static_cast<std::size_t>(r.proc);
-      const double* const row = link_data_ + q * np;
+      const double* const last_row = last_hop_data_ + q * np;
+      const double* const route_row = route_data_ + q * np;
       const double f = r.finish;
       const double rel = r.release;
       const double saved_chain = chain[q];
       const double saved_arr = arr[q];
       for (std::size_t p = 0; p < np; ++p) {
-        const double d = r.data * row[p];
-        chain[p] = std::max(chain[p], f) + d;
-        arr[p] = std::max(arr[p], rel + d);
+        chain[p] = std::max(chain[p], f) + r.data * last_row[p];
+        arr[p] = std::max(arr[p], rel + r.data * route_row[p]);
       }
       chain[q] = saved_chain;
       arr[q] = std::max(saved_arr, f);
@@ -356,10 +386,9 @@ void EftEngine::fill_bounds(TaskId v) const {
       arr[p] = std::max(arr[p], chain[p]);
     }
   } else {
-    const double* const table = routing_ != nullptr ? dist_data_ : link_data_;
     for (const PredRec& r : preds) {
       const auto q = static_cast<std::size_t>(r.proc);
-      const double* const row = table + q * np;
+      const double* const row = route_data_ + q * np;
       const double f = r.finish;
       const double saved = arr[q];
       for (std::size_t p = 0; p < np; ++p) {

@@ -19,15 +19,50 @@
 // fashion", which this policy implements deterministically.
 //
 // Hot-path layout: the engine walks the TaskGraph's CSR adjacency lanes
-// directly, caches the raw link/cycle-time/routing-distance arrays once,
-// and folds each task's predecessors into contiguous PredRec lanes --
-// (finish, data, release, task, proc) sorted by data-ready time --
-// shared by every candidate-processor scan.  The finish lower bounds for
-// *all* processors are produced in one pass over those lanes (per
-// predecessor, one dense sweep across the processor lanes followed by an
-// exact restore of the predecessor's own lane), which is bit-identical to
-// the per-processor scalar recurrence because each lane sees the same
+// directly, caches the raw link and cycle-time arrays once, and folds
+// each task's predecessors into contiguous PredRec lanes -- (finish,
+// data, release, task, proc) sorted by data-ready time -- shared by every
+// candidate-processor scan.  The finish lower bounds for *all*
+// processors are produced in one pass over those lanes (per predecessor,
+// one dense sweep across the processor lanes followed by an exact
+// restore of the predecessor's own lane), which is bit-identical to the
+// per-processor scalar recurrence because each lane sees the same
 // operations in the same order.
+//
+// Lower bounds (fill_bounds).  Take a predecessor u of v on q != p, with
+// finish f_u and data d_u, routed q = a_0 -> a_1 -> ... -> a_k = p with
+// per-item hop costs c_0..c_{k-1}; a direct link is the case k = 1.  Two
+// per-pair lanes, computed once per engine from the next-hop table and
+// the link matrix (never from RoutingTable::distances(), which
+// from_tables does not check), hold the route cost C = c_0 + ... +
+// c_{k-1} and the last-hop cost c_{k-1}; without routing both are the
+// link matrix.  The macro-dataflow bound is max_u (f_u + d_u C) plus the
+// execution time.  The one-port bound adds two terms:
+//   * Send-port release.  Hop 0 occupies q's send port for d_u c_0 >=
+//     d_u cmin_q (cmin_q = q's cheapest outgoing link) and cannot start
+//     before f_u.  next_fit is monotone in the duration, and this
+//     evaluation's overlays only add reservations to the committed send
+//     port, so hop 0 starts no earlier than rel_u = the first committed
+//     slot at or after f_u that fits d_u cmin_q.  Every later hop starts
+//     after the previous one ends, so the message arrives no earlier
+//     than rel_u + d_u C.
+//   * Receive-port chain.  The last hop of every cross message occupies
+//     p's receive port for d_u c_{k-1}, disjointly from the others (the
+//     overlay of p's receive port holds them all), and starts no earlier
+//     than f_u.  Intermediate hops never land on p: a well-formed route
+//     visits p only at its end.  So the last arrival is at least the
+//     optimal makespan of one machine with release dates f_u and
+//     processing times d_u c_{k-1}, which the earliest-release-date
+//     sequence attains; the predecessors are already sorted by f_u, so
+//     that is the chain max(chain, f_u) + d_u c_{k-1}.
+// Same-processor predecessors contribute f_u only.  Both terms are exact
+// in real arithmetic.  In floating point they carry the caveats of the
+// kTimeEps rules: the bound sums and rounds the costs in another order
+// than evaluate_into's hop-by-hop cursor (C is summed from the
+// destination end, before the product with d_u), and joint fits treat
+// messages that overlap by less than kTimeEps as disjoint.  The excess
+// is a few ulps or below kTimeEps, which the prune test's kTimeEps band
+// absorbs while the times stay far above it.
 //
 // Evaluation is allocation-free after warm-up: the engine keeps one
 // reusable overlay per processor and port direction, invalidated lazily
@@ -125,8 +160,8 @@ class EftEngine {
  private:
   /// One predecessor of the task under evaluation, flattened into the
   /// lane layout the hot loops consume: committed finish time, edge data
-  /// volume, send-port release bound (one-port without routing only),
-  /// and the predecessor's identity.
+  /// volume, send-port release bound (one-port only), and the
+  /// predecessor's identity.
   struct PredRec {
     double finish = 0.0;
     double data = 0.0;
@@ -171,7 +206,13 @@ class EftEngine {
   std::size_t np_ = 0;  ///< processor count
   const double* link_data_ = nullptr;   ///< row-major p x p link matrix
   const double* cycle_data_ = nullptr;  ///< per-proc cycle times
-  const double* dist_data_ = nullptr;   ///< routed distances (null if none)
+  /// Row-major p x p route lanes (see the header comment): the per-item
+  /// cost of the last hop into the destination, and of the whole route.
+  /// Both point at the link matrix without routing, else into
+  /// route_lanes_.
+  const double* last_hop_data_ = nullptr;
+  const double* route_data_ = nullptr;
+  std::vector<double> route_lanes_;  ///< routed storage: last hops, routes
   std::vector<TaskPlacement> placements_;
   std::vector<CommPlacement> comms_;
   std::vector<TimelineIndex> compute_;  // per processor

@@ -1,5 +1,6 @@
 #include "platform/routing.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -78,6 +79,42 @@ const char* routing_policy_name(RoutingPolicy policy) {
       return "swp";
   }
   return "?";
+}
+
+RoutingTable::RoutingTable(int p, Matrix<double> dist, Matrix<int> next)
+    : p_(p),
+      dist_(std::move(dist)),
+      next_(std::move(next)),
+      order_(static_cast<std::size_t>(p), static_cast<std::size_t>(p), -1) {
+  // Per destination j, every i != j hangs under its next hop next(i, j),
+  // so a processor sits in at most one child list and j in none.  A
+  // breadth-first walk down from j therefore appends each processor at
+  // most once (a row never overflows) and reaches exactly those whose
+  // hop chain ends at j.  One with a hole (an out-of-range hop) or a
+  // loop not through j is never reached: its row entry stays -1 and
+  // path_into() still raises on it.  O(p) per destination.
+  const auto n = static_cast<std::size_t>(p);
+  const int* const next_hop = next_.data();
+  std::vector<int> first_child(n);
+  std::vector<int> sibling(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::fill(first_child.begin(), first_child.end(), -1);
+    for (std::size_t i = n; i-- > 0;) {
+      const int hop = next_hop[i * n + j];
+      if (i == j || hop < 0 || hop >= p) continue;
+      sibling[i] = first_child[static_cast<std::size_t>(hop)];
+      first_child[static_cast<std::size_t>(hop)] = static_cast<int>(i);
+    }
+    int* const row = order_.data() + j * n;
+    std::size_t size = 0;
+    row[size++] = static_cast<int>(j);
+    for (std::size_t head = 0; head < size; ++head) {
+      for (int c = first_child[static_cast<std::size_t>(row[head])]; c >= 0;
+           c = sibling[static_cast<std::size_t>(c)]) {
+        row[size++] = c;
+      }
+    }
+  }
 }
 
 RoutingTable RoutingTable::shortest_paths(const Platform& platform) {

@@ -113,6 +113,10 @@ class RoutingTable {
   /// defensive checks.  `dist(i,j)` is the per-item cost and `next(i,j)`
   /// the first hop from i toward j (with next(i,i) == i).  Nothing is
   /// validated here; path_into() throws on holes and routing loops.
+  /// `dist` is reported by distance() but trusted by no scheduler: the
+  /// EFT engine derives every route's cost from `next` and the platform's
+  /// link matrix, so a `dist` that disagrees with the hop sums cannot
+  /// make its pruning unsound.
   static RoutingTable from_tables(int p, Matrix<double> dist,
                                   Matrix<int> next);
 
@@ -140,13 +144,31 @@ class RoutingTable {
     return dist_;
   }
 
+  /// The next-hop table as given: next_hops()(i, j) is the first hop
+  /// from i toward j.  from_tables does not check it, so only the pairs
+  /// route_order() reaches are known to be well formed.
+  [[nodiscard]] const Matrix<int>& next_hops() const noexcept {
+    return next_;
+  }
+
+  /// Row j lists every processor whose route to j is well formed (no
+  /// hole, no loop), j first and each processor after its next hop
+  /// toward j -- a breadth-first order of the tree the next hops form
+  /// toward j.  The rest of the row is -1.  Built once per table, so a
+  /// per-route quantity for all p^2 pairs is one pass over the rows,
+  /// each pair folding its next hop's already-final value, with no path
+  /// walk.
+  [[nodiscard]] const Matrix<int>& route_order() const noexcept {
+    return order_;
+  }
+
  private:
-  RoutingTable(int p, Matrix<double> dist, Matrix<int> next)
-      : p_(p), dist_(std::move(dist)), next_(std::move(next)) {}
+  RoutingTable(int p, Matrix<double> dist, Matrix<int> next);
 
   int p_ = 0;
   Matrix<double> dist_;  // shortest per-item cost
   Matrix<int> next_;     // next hop on the shortest path
+  Matrix<int> order_;    // per destination: well-formed sources, BFS order
 };
 
 /// A sparse platform plus its routing table, built together.

@@ -34,6 +34,7 @@ class Matrix {
   /// Raw row-major storage for hot loops that have already validated
   /// their indices; element (r, c) lives at data()[r * cols() + c].
   [[nodiscard]] const T* data() const noexcept { return data_.data(); }
+  [[nodiscard]] T* data() noexcept { return data_.data(); }
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 

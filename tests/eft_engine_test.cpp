@@ -1,8 +1,14 @@
 // Direct tests of the EFT engine -- the machinery every heuristic shares.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/eft_engine.hpp"
+#include "platform/routing.hpp"
 #include "sched/validate.hpp"
+#include "support/frozen_oracle.hpp"
+#include "support/scenario.hpp"
 
 namespace oneport {
 namespace {
@@ -129,6 +135,162 @@ TEST(EftEngine, RejectsMismatchedRoutingTable) {
       EftEngine(f.graph, f.platform, EftEngine::Model::kOnePort,
                 &ring.routing),
       std::invalid_argument);
+}
+
+bool same_evaluation(const Evaluation& a, const Evaluation& b) {
+  if (a.proc != b.proc || a.start != b.start || a.finish != b.finish ||
+      a.comms.size() != b.comms.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.comms.size(); ++i) {
+    const CommDecision& x = a.comms[i];
+    const CommDecision& y = b.comms[i];
+    if (x.src != y.src || x.from != y.from || x.to != y.to ||
+        x.start != y.start || x.finish != y.finish) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct ScanTally {
+  std::size_t decisions = 0;
+  std::size_t differing = 0;
+};
+
+/// Places `graph` task by task in topological order.  At every decision
+/// evaluate_best is compared with an exhaustive scan through the public
+/// evaluate(): every processor in id order, a later one winning only
+/// when it finishes more than kTimeEps earlier -- the (finish, id)
+/// contract evaluate_best documents.  The scan's pick is committed, so
+/// one wrong decision does not steer the rest of the run.
+ScanTally compare_with_exhaustive_scan(const TaskGraph& graph,
+                                       const Platform& platform,
+                                       EftEngine::Model model,
+                                       const RoutingTable* routing) {
+  EftEngine engine(graph, platform, model, routing);
+  ScanTally tally;
+  for (const TaskId v : graph.topological_order()) {
+    Evaluation scan = engine.evaluate(v, 0);
+    for (ProcId p = 1; p < platform.num_processors(); ++p) {
+      Evaluation candidate = engine.evaluate(v, p);
+      if (candidate.finish < scan.finish - kTimeEps) {
+        scan = std::move(candidate);
+      }
+    }
+    ++tally.decisions;
+    if (!same_evaluation(engine.evaluate_best(v), scan)) ++tally.differing;
+    engine.commit(scan);
+  }
+  return tally;
+}
+
+// Pruning in evaluate_best is exact: on the routed instances at the
+// scale the bounds target (64-processor mesh, wide MICROSVC fan-in),
+// and on fully connected platforms under both models, every decision
+// equals the exhaustive scan's.
+TEST(EftEngineExactPruning, MatchesExhaustiveScanOnRoutedScaleInstances) {
+  for (const testsupport::Scenario& s :
+       testsupport::routed_scale_scenarios()) {
+    for (const EftEngine::Model model :
+         {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
+      const ScanTally tally = compare_with_exhaustive_scan(
+          s.graph, s.platform, model, s.routing_ptr());
+      EXPECT_EQ(tally.differing, 0u)
+          << s.description << (model == EftEngine::Model::kOnePort
+                                   ? " one-port"
+                                   : " macro-dataflow");
+      EXPECT_EQ(tally.decisions, s.graph.num_tasks());
+    }
+  }
+}
+
+TEST(EftEngineExactPruning, MatchesExhaustiveScanOnDirectLinks) {
+  for (const testsupport::Scenario& s : testsupport::scenario_sweep(7301, 80)) {
+    for (const EftEngine::Model model :
+         {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
+      const ScanTally tally =
+          compare_with_exhaustive_scan(s.graph, s.platform, model, nullptr);
+      EXPECT_EQ(tally.differing, 0u) << s.description;
+    }
+  }
+}
+
+/// A from_tables copy of `routed` whose routes are unchanged but whose
+/// distance between non-adjacent processors is `factor` times the hop
+/// sum -- a table from_tables accepts, since it checks nothing.
+RoutingTable inflate_routed_distances(const RoutedPlatform& routed,
+                                      double factor) {
+  const int p = routed.platform.num_processors();
+  Matrix<double> dist = routed.routing.distances();
+  for (ProcId i = 0; i < p; ++i) {
+    for (ProcId j = 0; j < p; ++j) {
+      if (!routed.routing.direct(i, j)) {
+        dist(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) *=
+            factor;
+      }
+    }
+  }
+  return RoutingTable::from_tables(p, std::move(dist),
+                                   routed.routing.next_hops());
+}
+
+// The engine's bounds come from the next-hop table and the link matrix,
+// never from the table's distances: a from_tables copy whose routed
+// distances overstate the hop sums threefold must not prune a candidate
+// that the exhaustive scan picks.
+TEST(EftEngineExactPruning, IgnoresInconsistentTableDistances) {
+  const std::vector<double> cycles = make_paper_platform().cycle_times();
+  for (const EftEngine::Model model :
+       {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
+    ScanTally total;
+    for (const char* topology : {"mesh3x3", "ring"}) {
+      const RoutedPlatform routed = make_topology_platform(topology, cycles);
+      const RoutingTable inflated = inflate_routed_distances(routed, 3.0);
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const ScanTally tally = compare_with_exhaustive_scan(
+            testsupport::random_graph(seed), routed.platform, model,
+            &inflated);
+        total.decisions += tally.decisions;
+        total.differing += tally.differing;
+      }
+    }
+    EXPECT_EQ(total.differing, 0u)
+        << "of " << total.decisions << " decisions, "
+        << (model == EftEngine::Model::kOnePort ? "one-port"
+                                                : "macro-dataflow");
+  }
+}
+
+// A table with a routing loop and a hole still builds, and so does an
+// engine over it; only walking a broken route raises, as path_into does.
+TEST(EftEngineExactPruning, BrokenTableBuildsAndThrowsOnlyOnUse) {
+  const RoutedPlatform ring = make_ring_platform({1.0, 1.0, 1.0, 1.0});
+  Matrix<int> next = ring.routing.next_hops();
+  next(0, 2) = 1;  // 0 -> 1 -> 0 -> ... toward P2
+  next(1, 2) = 0;
+  next(3, 1) = -1;  // hole
+  std::optional<RoutingTable> broken;
+  ASSERT_NO_THROW(broken = RoutingTable::from_tables(
+                      4, ring.routing.distances(), std::move(next)));
+  std::vector<ProcId> out;
+  EXPECT_THROW(broken->path_into(0, 2, out), std::logic_error);
+  EXPECT_THROW(broken->path_into(3, 1, out), std::logic_error);
+
+  TaskGraph g;
+  g.add_task(1.0);
+  g.add_task(1.0);
+  g.add_edge(0, 1, 2.0);
+  g.finalize();
+  for (const EftEngine::Model model :
+       {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
+    std::optional<EftEngine> engine;
+    ASSERT_NO_THROW(engine.emplace(g, ring.platform, model, &*broken));
+    engine->commit(engine->evaluate(0, 0));
+    EXPECT_NO_THROW((void)engine->evaluate(1, 1));  // 0 -> 1 is intact
+    EXPECT_THROW((void)engine->evaluate(1, 2), std::logic_error);
+    EXPECT_THROW((void)engine->evaluate_best(1), std::logic_error);
+  }
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 
 #include "core/heft.hpp"
 #include "core/ilha.hpp"
+#include "core/registry.hpp"
 #include "dynamic/events.hpp"
 #include "dynamic/reschedule.hpp"
 #include "platform/routing.hpp"
+#include "testbeds/registry.hpp"
 #include "testbeds/testbeds.hpp"
 
 namespace oneport::testsupport {
@@ -141,6 +143,18 @@ void heterogeneous_routed_rows(std::vector<FrozenRow>& rows) {
   }
 }
 
+void routed_scale_rows(std::vector<FrozenRow>& rows) {
+  for (const Scenario& scenario : routed_scale_scenarios()) {
+    for (const char* name : {"heft-oneport", "ilha-oneport"}) {
+      const Schedule s =
+          find_scheduler(name, {.routing = scenario.routing_ptr()})
+              .run(scenario.graph, scenario.platform);
+      rows.push_back({"scale/" + scenario.description + "/" + name,
+                      s.makespan(), digest(s)});
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Scenario> frozen_static_scenarios() {
@@ -148,6 +162,32 @@ std::vector<Scenario> frozen_static_scenarios() {
   append(scenarios, edge_case_scenarios());
   append(scenarios, routed_scenario_sweep(9091, 10));
   append(scenarios, workload_scenario_sweep(9191, 4));
+  return scenarios;
+}
+
+std::vector<Scenario> routed_scale_scenarios() {
+  struct Instance {
+    const char* family;
+    int size;
+  };
+  const std::vector<double> cycles = make_paper_platform().cycle_times();
+  std::vector<Scenario> scenarios;
+  for (const char* network :
+       {"mesh8x8:het0.5:swp", "fattree3x3", "torus4x4:alt", "ring"}) {
+    for (const Instance& instance : {Instance{"MICROSVC", 40},
+                                     Instance{"MICROSVC", 80},
+                                     Instance{"MLTRAIN", 10},
+                                     Instance{"LU", 16}}) {
+      RoutedPlatform routed = make_topology_platform(network, cycles);
+      scenarios.push_back(
+          {1,
+           std::string(instance.family) + "/n=" +
+               std::to_string(instance.size) + "/" + network,
+           testbeds::find_testbed(instance.family)
+               .make(instance.size, testbeds::kPaperCommRatio),
+           std::move(routed.platform), std::move(routed.routing)});
+    }
+  }
   return scenarios;
 }
 
@@ -161,6 +201,7 @@ std::vector<FrozenRow> compute_frozen_rows() {
   static_rows(rows);
   dynamic_rows(rows);
   heterogeneous_routed_rows(rows);
+  routed_scale_rows(rows);
   return rows;
 }
 

@@ -1,11 +1,12 @@
 // Frozen-oracle schedule pin.
 //
-// One row per (scenario, scheduler[, event trace]) over three seeded
-// rotations: the static property-sweep rotation (random, edge-case,
-// routed and workload-family scenarios under every registered
-// heuristic), the dynamic rotation (the same heuristics replayed through
-// dyn::run_dynamic under the four named fault traces), and the
-// heterogeneous routed STENCIL cases.  Each row holds the makespan and a
+// One row per (scenario, scheduler[, event trace]) over four rotations:
+// the static property-sweep rotation (random, edge-case, routed and
+// workload-family scenarios under every registered heuristic), the
+// dynamic rotation (the same heuristics replayed through
+// dyn::run_dynamic under the four named fault traces), the
+// heterogeneous routed STENCIL cases, and the routed one-port instances
+// at the scale EFT pruning targets (16-64 processors, wide fan-in).  Each row holds the makespan and a
 // 64-bit FNV-1a digest over the bit pattern of every placement and
 // message field; a dynamic row's digest also covers every epoch's
 // schedule and the stale-message list.
@@ -14,7 +15,10 @@
 // reference sorted-busy-vector timeline -- now the test oracle in
 // reference_timeline.hpp -- and it matched bit for bit under every other
 // timeline implementation and graph layout the library carried at the
-// time.  Recomputing it with production code and demanding exact
+// time.  The "scale/" rows came later: they were recorded with the
+// library while routed candidates still got only the plain
+// finish + data x distance bound, before the routed one-port pruning
+// bounds landed.  Recomputing it with production code and demanding exact
 // equality is the same pin a run-time differential against the oracle
 // would give, without keeping a second implementation in the library.
 #pragma once
@@ -41,6 +45,14 @@ struct FrozenRow {
 /// order: scenario_sweep(8087, 8), the edge cases,
 /// routed_scenario_sweep(9091, 10) and workload_scenario_sweep(9191, 4).
 [[nodiscard]] std::vector<Scenario> frozen_static_scenarios();
+
+/// The routed rotation behind the table's "scale/" rows, in table order:
+/// MICROSVC 40 and 80, MLTRAIN 10 and LU 16 at the paper's
+/// communication ratio, each on mesh8x8:het0.5:swp, fattree3x3,
+/// torus4x4:alt and ring over the paper platform's speeds.  The table
+/// runs heft-oneport and ilha-oneport on each under the default registry
+/// settings.
+[[nodiscard]] std::vector<Scenario> routed_scale_scenarios();
 
 /// The 11-heuristic registry the table runs on `scenario`.
 [[nodiscard]] std::vector<SchedulerEntry> frozen_registry(
