@@ -19,9 +19,10 @@
 //     deferred-compaction cost pinned by OP_ASSERT to the documented
 //     O(n * sqrt(n)) total -- a regression to quadratic middle-inserts
 //     aborts the bench instead of just slowing it;
-//   * the post-schedule layers on their own (io/): validate_one_port and
-//     write_schedule over the 100k-task HEFT schedule, and the DOT / JSON
-//     graph exporters at 10k tasks, each with a `bytes` counter.
+//   * the post-schedule layers on their own (io/): validate_one_port,
+//     write_schedule and read_schedule over the 100k-task HEFT schedule,
+//     and the DOT / JSON graph exporters at 10k tasks, each with a
+//     `bytes` counter.
 //
 // Every bench forwards the per-thread scalability profiler: run with
 // ONEPORT_PROFILE=1 and the hot-path counter aggregate appears as
@@ -641,9 +642,9 @@ void register_import_benchmarks() {
 }
 
 /// The layers every schedule passes through after scheduling: the
-/// independent one-port validator and the schedule writer over the 100k
-/// HEFT schedule, and the DOT / JSON graph exporters (routed traces are
-/// exported with them) at 10k tasks.
+/// independent one-port validator, the schedule writer and reader over
+/// the 100k HEFT schedule, and the DOT / JSON graph exporters (routed
+/// traces are exported with them) at 10k tasks.
 void register_io_benchmarks() {
   benchmark::RegisterBenchmark(
       "io/validate_one_port/n=100000",
@@ -690,6 +691,31 @@ void register_io_benchmarks() {
       "io/write_schedule/n=100000",
       []() -> const Schedule& { return scale_heft_schedule_100k(); },
       [](std::ostream& os, const Schedule& s) { write_schedule(os, s); });
+  // The reader over the same bytes; `bytes` is the input size, so the
+  // CI guard can hold the pair to a reader/writer time ratio.
+  benchmark::RegisterBenchmark(
+      "io/read_schedule/n=100000",
+      [](benchmark::State& state) {
+        std::ostringstream os;
+        write_schedule(os, scale_heft_schedule_100k());
+        const std::string text = std::move(os).str();
+        std::size_t tasks = 0;
+        prof::reset();
+        for (auto _ : state) {
+          std::istringstream is(text);
+          const Schedule schedule = read_schedule(is);
+          tasks = schedule.num_tasks();
+          benchmark::DoNotOptimize(tasks);
+          benchmark::ClobberMemory();
+        }
+        OP_ASSERT(tasks == scale_heft_schedule_100k().num_tasks(),
+                  "read_schedule dropped tasks: " << tasks);
+        const auto bytes = static_cast<std::int64_t>(text.size());
+        state.counters["bytes"] = static_cast<double>(bytes);
+        state.SetBytesProcessed(state.iterations() * bytes);
+        attach_profile_counters(state);
+      })
+      ->Unit(benchmark::kMillisecond);
   register_writer(
       "io/export/dot/n=10000",
       []() -> const TaskGraph& { return scale_graph(10000); },

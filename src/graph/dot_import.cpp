@@ -1,13 +1,15 @@
 #include "graph/dot_import.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/text_reader.hpp"
 #include "util/text_writer.hpp"
 
 namespace oneport {
@@ -17,9 +19,31 @@ namespace {
 using Kind = ImportError::Kind;
 
 [[noreturn]] void fail(Kind kind, const std::string& message) {
-  throw ImportError(kind, std::string(import_error_kind_name(kind)) + ": " +
-                              message);
+  throw_import_error(kind, message);
 }
+
+/// `head` + " '" + `text` + "'" + `tail`, for messages quoting input.
+std::string quoted(std::string_view head, std::string_view text,
+                   std::string_view tail) {
+  std::string out(head);
+  out += " '";
+  out += text;
+  out += '\'';
+  out += tail;
+  return out;
+}
+
+struct StagedNode {
+  std::uint64_t id;
+  double weight;
+  std::string name;
+};
+
+struct StagedEdge {
+  std::uint64_t src;
+  std::uint64_t dst;
+  double data;
+};
 
 /// Parsed node/edge staging area: the whole file is read and validated
 /// before any TaskGraph is built, so a late error cannot leave a
@@ -28,41 +52,43 @@ struct Staging {
   std::string graph_name;
   // Node ids as declared; must form the dense range 0..N-1 once all are
   // in (the exporters only ever emit dense ids).
-  std::vector<std::pair<std::uint64_t, std::pair<double, std::string>>> nodes;
-  std::vector<std::pair<std::pair<std::uint64_t, std::uint64_t>, double>>
-      edges;
+  std::vector<StagedNode> nodes;
+  std::vector<StagedEdge> edges;
 };
 
-/// Full-consumption double parse; rejects NaN/inf and anything strtod
-/// leaves behind.  `what` names the field for the error message.
-double parse_weight(const std::string& text, const char* what) {
+/// A weight or data volume: the whole token as a finite, non-negative
+/// double.  `what` names the field for the error message.
+double parse_weight(std::string_view text, const char* what) {
   if (text.empty()) fail(Kind::kBadWeight, std::string(what) + " is empty");
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (end != begin + text.size()) {
-    fail(Kind::kBadWeight,
-         std::string(what) + " '" + text + "' is not a number");
+  double value = 0.0;
+  switch (parse_real(text, value)) {
+    case NumberStatus::kOk:
+      break;
+    case NumberStatus::kNotANumber:
+      fail(Kind::kBadWeight, quoted(what, text, " is not a number"));
+    case NumberStatus::kOutOfRange:
+      fail(Kind::kBadWeight,
+           quoted(what, text, " is outside the range of a double"));
   }
   if (!std::isfinite(value)) {
-    fail(Kind::kBadWeight, std::string(what) + " '" + text +
-                               "' is not finite (NaN/inf rejected)");
+    fail(Kind::kBadWeight,
+         quoted(what, text, " is not finite (NaN/inf rejected)"));
   }
-  if (value < 0.0) {
-    fail(Kind::kBadWeight, std::string(what) + " '" + text + "' is negative");
-  }
+  if (value < 0.0) fail(Kind::kBadWeight, quoted(what, text, " is negative"));
   return value;
 }
 
-std::uint64_t parse_node_id(const std::string& text, const char* what) {
-  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos)
-    fail(Kind::kSyntax, std::string(what) + " '" + text +
-                            "' is not an unsigned node index");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size())
-    fail(Kind::kSyntax, std::string(what) + " '" + text + "' overflows");
+std::uint64_t parse_node_id(std::string_view text, const char* what) {
+  std::uint64_t value = 0;
+  switch (parse_index(text, value)) {
+    case NumberStatus::kOk:
+      break;
+    case NumberStatus::kNotANumber:
+      fail(Kind::kSyntax,
+           quoted(what, text, " is not an unsigned node index"));
+    case NumberStatus::kOutOfRange:
+      fail(Kind::kSyntax, quoted(what, text, " overflows"));
+  }
   return value;
 }
 
@@ -71,45 +97,49 @@ std::uint64_t parse_node_id(const std::string& text, const char* what) {
 /// duplicates, no dangling edges, no self-loops, acyclic.
 ImportedGraph realize(Staging&& staged) {
   const std::size_t n = staged.nodes.size();
-  std::vector<bool> seen(n, false);
-  std::vector<std::pair<double, std::string>> by_id(n);
-  for (auto& [id, payload] : staged.nodes) {
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  // slot[id] = index of the node's declaration in staged.nodes.
+  std::vector<std::size_t> slot(n, kUnseen);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t id = staged.nodes[i].id;
     if (id >= n) {
       fail(Kind::kUnknownNode,
            "node id " + std::to_string(id) + " is outside the dense range 0.." +
                std::to_string(n == 0 ? 0 : n - 1) +
                " (missing declarations?)");
     }
-    if (seen[static_cast<std::size_t>(id)]) {
+    if (slot[static_cast<std::size_t>(id)] != kUnseen) {
       fail(Kind::kDuplicateNode,
            "node id " + std::to_string(id) + " declared twice");
     }
-    seen[static_cast<std::size_t>(id)] = true;
-    by_id[static_cast<std::size_t>(id)] = std::move(payload);
+    slot[static_cast<std::size_t>(id)] = i;
   }
 
   TaskGraph graph;
   for (std::size_t v = 0; v < n; ++v) {
-    graph.add_task(by_id[v].first, std::move(by_id[v].second));
+    StagedNode& node = staged.nodes[slot[v]];
+    graph.add_task(node.weight, std::move(node.name));
   }
-  for (const auto& [endpoints, data] : staged.edges) {
-    const auto [src, dst] = endpoints;
-    if (src >= n || dst >= n) {
+  for (const StagedEdge& edge : staged.edges) {
+    if (edge.src >= n || edge.dst >= n) {
       fail(Kind::kUnknownNode,
-           "edge " + std::to_string(src) + "->" + std::to_string(dst) +
-               " references an undeclared node");
+           "edge " + std::to_string(edge.src) + "->" +
+               std::to_string(edge.dst) + " references an undeclared node");
     }
-    if (src == dst) {
+    if (edge.src == edge.dst) {
       fail(Kind::kDuplicateEdge,
-           "self-loop on node " + std::to_string(src));
+           "self-loop on node " + std::to_string(edge.src));
     }
-    const auto s = static_cast<TaskId>(src);
-    const auto d = static_cast<TaskId>(dst);
-    if (graph.has_edge(s, d)) {
-      fail(Kind::kDuplicateEdge, "edge " + std::to_string(src) + "->" +
-                                     std::to_string(dst) + " declared twice");
+    try {
+      graph.add_edge(static_cast<TaskId>(edge.src),
+                     static_cast<TaskId>(edge.dst), edge.data);
+    } catch (const std::invalid_argument&) {
+      // The checks above, and parse_weight's, leave a repeated edge as
+      // add_edge's only rejection; its own lookup is the one scan.
+      fail(Kind::kDuplicateEdge, "edge " + std::to_string(edge.src) + "->" +
+                                     std::to_string(edge.dst) +
+                                     " declared twice");
     }
-    graph.add_edge(s, d, data);
   }
   try {
     graph.finalize();
@@ -121,106 +151,108 @@ ImportedGraph realize(Staging&& staged) {
 
 // --------------------------------------------------------------- DOT
 
-/// Strips leading/trailing spaces and tabs.
-std::string trimmed(const std::string& line) {
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return {};
-  const std::size_t last = line.find_last_not_of(" \t\r");
-  return line.substr(first, last - first + 1);
-}
-
-/// True when `text` looks like the exporter's canonical placeholder for
-/// an unnamed task: "v<id>".  Importing it as the empty name makes
+/// True when `name` is the exporter's canonical placeholder for an
+/// unnamed task: "v<id>".  Importing it as the empty name makes
 /// export -> import the identity on unnamed tasks (and stays
 /// re-export-stable for tasks literally named "v<id>").
-bool is_placeholder_name(const std::string& name, std::uint64_t id) {
-  std::string expected("v");
-  expected += std::to_string(id);
-  return name == expected;
+bool is_placeholder_name(std::string_view name, std::uint64_t id) {
+  if (name.empty() || name.front() != 'v') return false;
+  char digits[20];
+  const char* const end = std::to_chars(digits, digits + 20, id).ptr;
+  return name.substr(1) == std::string_view(digits, static_cast<std::size_t>(
+                                                        end - digits));
 }
 
-ImportedGraph import_dot_impl(const std::string& text) {
-  std::istringstream in(text);
+/// One pass over the lines of write_dot's dialect.  The checks and their
+/// order match the reference reader (tests/support/reference_import.cpp)
+/// that import_oracle_test holds this one to: a malformed input gets the
+/// same ImportError kind and message.
+ImportedGraph import_dot_text(std::string_view text) {
+  constexpr std::string_view kLabel = "[label=\"";
+  TextReader in(text);
   Staging staged;
-  std::string line;
   bool saw_header = false;
   bool saw_close = false;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string t = trimmed(line);
-    const std::string where = " (line " + std::to_string(line_no) + ")";
+  std::string_view line;
+  while (in.next_line(line)) {
+    const std::string_view t = trim(line);
     if (t.empty()) continue;
+    const auto where = [&in] {
+      return " (line " + std::to_string(in.line_number()) + ")";
+    };
     if (!saw_header) {
-      if (t.rfind("digraph ", 0) != 0 || t.back() != '{') {
-        fail(Kind::kSyntax, "expected 'digraph <name> {' header" + where);
+      if (!t.starts_with("digraph ") || t.back() != '{') {
+        fail(Kind::kSyntax, "expected 'digraph <name> {' header" + where());
       }
-      staged.graph_name = trimmed(t.substr(8, t.size() - 9));
+      staged.graph_name = trim(t.substr(8, t.size() - 9));
       if (staged.graph_name.empty()) {
-        fail(Kind::kSyntax, "digraph name is empty" + where);
+        fail(Kind::kSyntax, "digraph name is empty" + where());
       }
       saw_header = true;
       continue;
     }
-    if (saw_close) fail(Kind::kSyntax, "content after closing '}'" + where);
+    if (saw_close) fail(Kind::kSyntax, "content after closing '}'" + where());
     if (t == "}") {
       saw_close = true;
       continue;
     }
     // Style lines the exporter emits; carry no graph content.
     if (t == "rankdir=TB;" || t == "node [shape=circle];") continue;
-    if (t.rfind("// truncated", 0) == 0) {
+    if (t.starts_with("// truncated")) {
       fail(Kind::kTruncatedDump,
            "the exporter truncated this dump; it cannot be reimported" +
-               where);
+               where());
     }
-    if (t.rfind("//", 0) == 0) continue;  // other comments are inert
-    if (t.rfind('n', 0) != 0) {
-      fail(Kind::kSyntax, "unrecognized statement '" + t + "'" + where);
+    if (t.starts_with("//")) continue;  // other comments are inert
+    if (!t.starts_with('n')) {
+      fail(Kind::kSyntax, quoted("unrecognized statement", t, where()));
     }
+    // The suffix checks compare rfind with size() - 3, which wraps on
+    // lines shorter than 3 bytes; the reference reader does the same.
     const std::size_t arrow = t.find(" -> ");
-    if (arrow == std::string::npos) {
+    if (arrow == std::string_view::npos) {
       // Node statement: n<id> [label="<name>\nw=<weight>"];
-      const std::string prefix = "[label=\"";
       const std::size_t lbracket = t.find(" [");
-      if (lbracket == std::string::npos || t.rfind("\"];") != t.size() - 3) {
-        fail(Kind::kSyntax, "malformed node statement '" + t + "'" + where);
+      if (lbracket == std::string_view::npos ||
+          t.rfind("\"];") != t.size() - 3) {
+        fail(Kind::kSyntax, quoted("malformed node statement", t, where()));
       }
-      if (t.compare(lbracket + 1, prefix.size(), prefix) != 0) {
-        fail(Kind::kSyntax, "malformed node label in '" + t + "'" + where);
+      if (t.compare(lbracket + 1, kLabel.size(), kLabel) != 0) {
+        fail(Kind::kSyntax, quoted("malformed node label in", t, where()));
       }
       const std::uint64_t id =
           parse_node_id(t.substr(1, lbracket - 1), "node id");
-      const std::string label = t.substr(lbracket + 1 + prefix.size(),
-                                         t.size() - 3 -
-                                             (lbracket + 1 + prefix.size()));
+      const std::size_t label_at = lbracket + 1 + kLabel.size();
+      const std::string_view label =
+          t.substr(label_at, t.size() - 3 - label_at);
       const std::size_t wsep = label.rfind("\\nw=");
-      if (wsep == std::string::npos) {
-        fail(Kind::kSyntax, "node label '" + label +
-                                "' carries no \\nw=<weight> field (export "
-                                "with show_weights on)" +
-                                where);
+      if (wsep == std::string_view::npos) {
+        fail(Kind::kSyntax,
+             quoted("node label", label,
+                    " carries no \\nw=<weight> field (export with "
+                    "show_weights on)" +
+                        where()));
       }
-      std::string name = label.substr(0, wsep);
+      std::string_view name = label.substr(0, wsep);
       const double weight = parse_weight(label.substr(wsep + 4), "weight");
-      if (is_placeholder_name(name, id)) name.clear();
-      staged.nodes.push_back({id, {weight, std::move(name)}});
+      if (is_placeholder_name(name, id)) name = {};
+      staged.nodes.push_back({id, weight, std::string(name)});
     } else {
       // Edge statement: n<a> -> n<b> [label="<data>"];
-      const std::string rhs = t.substr(arrow + 4);
+      const std::string_view rhs = t.substr(arrow + 4);
       const std::size_t lbracket = rhs.find(" [label=\"");
-      if (lbracket == std::string::npos || rhs.rfind("\"];") != rhs.size() - 3 ||
-          rhs.rfind('n', 0) != 0) {
-        fail(Kind::kSyntax, "malformed edge statement '" + t + "'" + where);
+      if (lbracket == std::string_view::npos ||
+          rhs.rfind("\"];") != rhs.size() - 3 || !rhs.starts_with('n')) {
+        fail(Kind::kSyntax, quoted("malformed edge statement", t, where()));
       }
       const std::uint64_t src =
           parse_node_id(t.substr(1, arrow - 1), "edge source");
       const std::uint64_t dst =
           parse_node_id(rhs.substr(1, lbracket - 1), "edge target");
-      const std::string data_text = rhs.substr(
-          lbracket + 9, rhs.size() - 3 - (lbracket + 9));
-      const double data = parse_weight(data_text, "edge data");
-      staged.edges.push_back({{src, dst}, data});
+      const double data = parse_weight(
+          rhs.substr(lbracket + 9, rhs.size() - 3 - (lbracket + 9)),
+          "edge data");
+      staged.edges.push_back({src, dst, data});
     }
   }
   if (!saw_header) fail(Kind::kSyntax, "empty input: no digraph header");
@@ -230,18 +262,20 @@ ImportedGraph import_dot_impl(const std::string& text) {
 
 // --------------------------------------------------------------- JSON
 
-/// Minimal recursive-descent parser for the restricted JSON the graph
-/// exporter emits: objects, arrays, strings (\" and \\ escapes), and
-/// plain numbers.  Any deviation is a typed syntax error with the byte
-/// offset; there is no recovery and no extension.
+/// Recursive-descent parser for the restricted JSON the graph exporter
+/// emits: objects, arrays, strings (\", \\ and \n escapes), and plain
+/// numbers.  Any deviation is a typed syntax error with the byte offset;
+/// there is no recovery and no extension.  Keys and numbers are views
+/// into the text; only names become strings.
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   [[nodiscard]] ImportedGraph parse() {
     skip_ws();
     expect('{');
     Staging staged;
+    bool saw_name = false;
     bool saw_tasks = false;
     bool saw_edges = false;
     bool first = true;
@@ -253,25 +287,29 @@ class JsonParser {
         skip_ws();
       }
       first = false;
-      const std::string key = parse_string("object key");
+      const std::size_t key_at = pos_;
+      const std::string_view key = scan_string("object key");
       skip_ws();
       expect(':');
       skip_ws();
       if (key == "name") {
+        once(saw_name, key, key_at);
         staged.graph_name = parse_string("graph name");
       } else if (key == "tasks") {
-        saw_tasks = true;
+        once(saw_tasks, key, key_at);
         parse_tasks(staged);
       } else if (key == "edges") {
-        saw_edges = true;
+        once(saw_edges, key, key_at);
         parse_edges(staged);
       } else {
-        fail(Kind::kSyntax, "unknown key '" + key + "'" + at());
+        fail(Kind::kSyntax, quoted("unknown key", unescape(key), at()));
       }
     }
     expect('}');
     skip_ws();
-    if (pos_ != text_.size()) fail(Kind::kSyntax, "content after root object" + at());
+    if (pos_ != text_.size()) {
+      fail(Kind::kSyntax, "content after root object" + at());
+    }
     if (staged.graph_name.empty()) {
       fail(Kind::kSyntax, "missing or empty \"name\"");
     }
@@ -282,8 +320,15 @@ class JsonParser {
   }
 
  private:
-  [[nodiscard]] std::string at() const {
-    return " (offset " + std::to_string(pos_) + ")";
+  [[nodiscard]] std::string at(std::size_t offset) const {
+    return " (offset " + std::to_string(offset) + ")";
+  }
+  [[nodiscard]] std::string at() const { return at(pos_); }
+
+  /// Rejects the second occurrence of a key within one object.
+  void once(bool& seen, std::string_view key, std::size_t key_at) const {
+    if (seen) fail(Kind::kSyntax, quoted("repeated key", key, at(key_at)));
+    seen = true;
   }
 
   [[nodiscard]] char peek() const {
@@ -307,49 +352,71 @@ class JsonParser {
     }
   }
 
-  std::string parse_string(const char* what) {
+  /// The raw body of a string, escapes still in place.
+  std::string_view scan_string(const char* what) {
     if (peek() != '"') {
       fail(Kind::kSyntax, std::string(what) + " must be a string" + at());
     }
-    ++pos_;
-    std::string out;
+    const std::size_t begin = ++pos_;
     while (true) {
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
+      }
       const char c = peek();
       ++pos_;
-      if (c == '"') return out;
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        if (esc == '"' || esc == '\\') {
-          out += esc;
-        } else if (esc == 'n') {
-          out += '\n';
-        } else {
-          fail(Kind::kSyntax,
-               std::string("unsupported escape '\\") + esc + "'" + at());
-        }
-      } else {
-        out += c;
+      if (c == '"') return text_.substr(begin, pos_ - 1 - begin);
+      const char esc = peek();
+      ++pos_;
+      if (esc != '"' && esc != '\\' && esc != 'n') {
+        fail(Kind::kSyntax,
+             std::string("unsupported escape '\\") + esc + "'" + at());
       }
     }
   }
 
-  double parse_number(const char* what, Kind bad_kind) {
+  /// A raw string body that scan_string accepted, decoded.
+  [[nodiscard]] static std::string unescape(std::string_view raw) {
+    std::string out;
+    out.reserve(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      if (raw[i] != '\\') {
+        out += raw[i];
+        continue;
+      }
+      const char esc = raw[++i];
+      out += esc == 'n' ? '\n' : esc;
+    }
+    return out;
+  }
+
+  std::string parse_string(const char* what) {
+    return unescape(scan_string(what));
+  }
+
+  /// The longest run of bytes that can occur in a number, NaN or inf.
+  std::string_view scan_number(const char* what) {
     const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == 'n' ||
-            text_[pos_] == 'a' || text_[pos_] == 'i' || text_[pos_] == 'f')) {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (!((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
+            c == 'e' || c == 'E' || c == 'n' || c == 'a' || c == 'i' ||
+            c == 'f')) {
+        break;
+      }
       ++pos_;
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (token.empty()) {
+    if (pos_ == start) {
       fail(Kind::kSyntax, std::string(what) + " must be a number" + at());
     }
-    if (bad_kind == Kind::kBadWeight) return parse_weight(token, what);
-    // Node indices: reuse the shared id grammar.
-    return static_cast<double>(parse_node_id(token, what));
+    return text_.substr(start, pos_ - start);
+  }
+
+  double parse_real_field(const char* what) {
+    return parse_weight(scan_number(what), what);
+  }
+
+  std::uint64_t parse_index_field(const char* what) {
+    return parse_node_id(scan_number(what), what);
   }
 
   void parse_tasks(Staging& staged) {
@@ -366,6 +433,7 @@ class JsonParser {
       double weight = 0.0;
       bool saw_weight = false;
       std::string name;
+      bool saw_name = false;
       bool first = true;
       while (true) {
         skip_ws();
@@ -375,28 +443,29 @@ class JsonParser {
           skip_ws();
         }
         first = false;
-        const std::string key = parse_string("task key");
+        const std::size_t key_at = pos_;
+        const std::string_view key = scan_string("task key");
         skip_ws();
         expect(':');
         skip_ws();
         if (key == "id") {
-          id = static_cast<std::uint64_t>(
-              parse_number("task id", Kind::kSyntax));
-          saw_id = true;
+          once(saw_id, key, key_at);
+          id = parse_index_field("task id");
         } else if (key == "w") {
-          weight = parse_number("task weight", Kind::kBadWeight);
-          saw_weight = true;
+          once(saw_weight, key, key_at);
+          weight = parse_real_field("task weight");
         } else if (key == "name") {
+          once(saw_name, key, key_at);
           name = parse_string("task name");
         } else {
-          fail(Kind::kSyntax, "unknown task key '" + key + "'" + at());
+          fail(Kind::kSyntax, quoted("unknown task key", unescape(key), at()));
         }
       }
       expect('}');
       if (!saw_id || !saw_weight) {
         fail(Kind::kSyntax, "task entry needs \"id\" and \"w\"" + at());
       }
-      staged.nodes.push_back({id, {weight, std::move(name)}});
+      staged.nodes.push_back({id, weight, std::move(name)});
       skip_ws();
       if (peek() == ']') break;
       expect(',');
@@ -414,9 +483,7 @@ class JsonParser {
     }
     while (true) {
       expect('{');
-      std::uint64_t src = 0;
-      std::uint64_t dst = 0;
-      double data = 0.0;
+      StagedEdge edge{0, 0, 0.0};
       bool saw_src = false;
       bool saw_dst = false;
       bool saw_data = false;
@@ -429,23 +496,22 @@ class JsonParser {
           skip_ws();
         }
         first = false;
-        const std::string key = parse_string("edge key");
+        const std::size_t key_at = pos_;
+        const std::string_view key = scan_string("edge key");
         skip_ws();
         expect(':');
         skip_ws();
         if (key == "src") {
-          src = static_cast<std::uint64_t>(
-              parse_number("edge src", Kind::kSyntax));
-          saw_src = true;
+          once(saw_src, key, key_at);
+          edge.src = parse_index_field("edge src");
         } else if (key == "dst") {
-          dst = static_cast<std::uint64_t>(
-              parse_number("edge dst", Kind::kSyntax));
-          saw_dst = true;
+          once(saw_dst, key, key_at);
+          edge.dst = parse_index_field("edge dst");
         } else if (key == "data") {
-          data = parse_number("edge data", Kind::kBadWeight);
-          saw_data = true;
+          once(saw_data, key, key_at);
+          edge.data = parse_real_field("edge data");
         } else {
-          fail(Kind::kSyntax, "unknown edge key '" + key + "'" + at());
+          fail(Kind::kSyntax, quoted("unknown edge key", unescape(key), at()));
         }
       }
       expect('}');
@@ -453,7 +519,7 @@ class JsonParser {
         fail(Kind::kSyntax,
              "edge entry needs \"src\", \"dst\" and \"data\"" + at());
       }
-      staged.edges.push_back({{src, dst}, data});
+      staged.edges.push_back(edge);
       skip_ws();
       if (peek() == ']') break;
       expect(',');
@@ -462,7 +528,7 @@ class JsonParser {
     expect(']');
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
 };
 
@@ -483,22 +549,8 @@ void put_json_string(TextWriter& out, const std::string& s) {
 
 }  // namespace
 
-const char* import_error_kind_name(ImportError::Kind kind) {
-  switch (kind) {
-    case Kind::kIo: return "io";
-    case Kind::kSyntax: return "syntax";
-    case Kind::kTruncatedDump: return "truncated-dump";
-    case Kind::kDuplicateNode: return "duplicate-node";
-    case Kind::kUnknownNode: return "unknown-node";
-    case Kind::kBadWeight: return "bad-weight";
-    case Kind::kDuplicateEdge: return "duplicate-edge";
-    case Kind::kCycle: return "cycle";
-  }
-  return "unknown";
-}
-
 ImportedGraph import_dot(const std::string& text) {
-  return import_dot_impl(text);
+  return import_dot_text(text);
 }
 
 ImportedGraph import_json(const std::string& text) {

@@ -9,48 +9,48 @@
 //
 // Strictness contract: a malformed input NEVER produces a graph and
 // NEVER trips undefined behavior -- every rejection is a typed
-// ImportError whose Kind says what went wrong (syntax, duplicate node,
-// dangling edge, bad weight, cycle, truncated export, ...), so callers
-// and tests can assert the *reason*, not just "it threw".  Inputs are
-// parsed fully before a TaskGraph is built; nothing is silently
-// repaired or skipped.
+// ImportError (util/text_reader.hpp) whose Kind says what went wrong, so
+// callers and tests can assert the *reason*, not just "it threw":
+//   kSyntax         grammar violation, truncated text, an unknown or a
+//                   repeated JSON key, a node id that is not an unsigned
+//                   decimal integer or overflows 64 bits;
+//   kTruncatedDump  the exporter's "// truncated" partial dump;
+//   kDuplicateNode  a node id declared twice;
+//   kUnknownNode    an edge endpoint never declared, or ids that are not
+//                   the dense range 0..N-1;
+//   kBadWeight      a weight or data volume that is not a number, is out
+//                   of double's range, NaN/inf, or negative;
+//   kDuplicateEdge  the same src->dst twice, or a self-loop;
+//   kCycle          the edges form a cycle;
+//   kIo             load_task_graph cannot read the file.
+// Inputs are parsed fully before a TaskGraph is built; nothing is
+// silently repaired or skipped.
+//
+// Number grammar: a weight, data volume or node id is the whole token
+// std::from_chars consumes (util/text_reader.hpp), the exact inverse of
+// the writers.  Before the from_chars lexer the importers parsed with
+// strtod, which accepts more; these spellings, which no writer emits,
+// changed verdict on purpose (tests/import_oracle_test.cpp pins each):
+//   * a leading '+' (w=+1.5), leading blanks (w= 1.5) and hex (w=0x1p3,
+//     once imported as 8) are kBadWeight;
+//   * a value outside double's range is kBadWeight: 1e-400 was imported
+//     as 0, and 1e400 was already rejected (as not finite);
+//   * a subnormal from_chars parses (4.9406564584124654e-324) keeps its
+//     value, and -0 stays accepted;
+//   * a repeated JSON key -- in a task, an edge or the top level -- is
+//     kSyntax naming the key and its offset (the last value used to win,
+//     and a second "tasks" array was appended);
+//   * JSON ids parse as integers, so an out-of-range id 9007199254740993
+//     is reported as itself, not as the nearest double.
 #pragma once
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 
 #include "graph/task_graph.hpp"
+#include "util/text_reader.hpp"
 
 namespace oneport {
-
-/// Typed rejection for malformed trace files.  `kind()` classifies the
-/// failure; what() carries the human-readable detail (line/offset where
-/// applicable).
-class ImportError : public std::runtime_error {
- public:
-  enum class Kind {
-    kIo,             ///< file missing/unreadable
-    kSyntax,         ///< grammar violation (incl. truncated text)
-    kTruncatedDump,  ///< exporter wrote a "// truncated" partial graph
-    kDuplicateNode,  ///< node id declared twice
-    kUnknownNode,    ///< edge endpoint never declared (dangling edge)
-    kBadWeight,      ///< NaN / negative / unparsable weight or data
-    kDuplicateEdge,  ///< same src->dst twice, or a self-loop
-    kCycle,          ///< edges form a cycle; not a DAG
-  };
-
-  ImportError(Kind kind, const std::string& message)
-      : std::runtime_error(message), kind_(kind) {}
-
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
-
- private:
-  Kind kind_;
-};
-
-/// Human-readable name of an ImportError::Kind ("syntax", "cycle", ...).
-[[nodiscard]] const char* import_error_kind_name(ImportError::Kind kind);
 
 /// An imported graph plus the metadata needed to re-export it verbatim.
 struct ImportedGraph {

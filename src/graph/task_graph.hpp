@@ -10,13 +10,16 @@
 // finalize()d, which checks acyclicity, computes a topological order and
 // freezes the structure.  All algorithms require a finalized graph.
 //
-// Adjacency is stored twice over its lifetime.  While building, each node
-// owns a successor and a predecessor list (add_edge's duplicate check
-// scans the former).  finalize() packs both into CSR lanes -- one flat
-// EdgeRef arena per direction plus (n+1) offsets, per-node insertion order
-// kept -- and releases the lists, so the schedulers' hot loops walk dense
-// memory with no per-node indirection.  The lanes hold offsets, not
-// pointers, so copies of a finalized graph are independent of it.
+// Adjacency is stored twice over its lifetime.  While building, the edges
+// sit in one flat array in insertion order, each threaded onto its
+// source's out-list and its target's in-list (has_edge, and so add_edge's
+// duplicate check, walks the shorter of the two), so building allocates
+// nothing per node or per edge.  finalize() packs them into CSR lanes --
+// one flat EdgeRef arena per direction plus (n+1) offsets, per-node
+// insertion order kept -- and releases the builder, so the schedulers'
+// hot loops walk dense memory with no per-node indirection.  The lanes
+// hold offsets, not pointers, so copies of a finalized graph are
+// independent of it.
 #pragma once
 
 #include <cstdint>
@@ -111,14 +114,32 @@ class TaskGraph {
     }
   }
   [[noreturn]] void lane_error(TaskId v) const;
-  /// Successors of `src` from whichever layout is live.
-  [[nodiscard]] std::span<const EdgeRef> out_edges(TaskId src) const;
+
+  static constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
+  /// A builder edge and the next (older) edge of its source's out-list
+  /// and of its target's in-list.
+  struct BuildEdge {
+    TaskId src;
+    TaskId dst;
+    double data;
+    std::uint32_t next_out;
+    std::uint32_t next_in;
+  };
+  /// A node's newest out- and in-edge, and the lists' lengths.
+  struct BuildNode {
+    std::uint32_t out_head = kNoEdge;
+    std::uint32_t in_head = kNoEdge;
+    std::uint32_t out_count = 0;
+    std::uint32_t in_count = 0;
+  };
+  /// Index of the builder edge src->dst, or kNoEdge (before finalize()).
+  [[nodiscard]] std::uint32_t find_build_edge(TaskId src, TaskId dst) const;
 
   std::vector<double> weights_;
   std::vector<std::string> names_;
-  // Builder lists, released by finalize().
-  std::vector<std::vector<EdgeRef>> succ_build_;
-  std::vector<std::vector<EdgeRef>> pred_build_;
+  // Builder state, released by finalize().
+  std::vector<BuildEdge> build_edges_;
+  std::vector<BuildNode> build_nodes_;
   // CSR lanes, filled by finalize(): node v's edges are
   // *_edges_[*_off_[v] .. *_off_[v + 1]).
   std::vector<std::size_t> succ_off_;

@@ -1,6 +1,6 @@
-// Chunked text emission for the plain-text writers: write_schedule /
-// write_task_graph (sched/serialize), write_dot (graph/dot_export) and
-// write_json_graph (graph/dot_import).
+// Chunked text emission for the plain-text writers: write_schedule
+// (sched/serialize), write_dot (graph/dot_export) and write_json_graph
+// (graph/dot_import).  util/text_reader.hpp is the read side.
 //
 // A TextWriter formats into one fixed-size chunk with std::to_chars and
 // hands the stream whole chunks through os.write, so a writer costs one

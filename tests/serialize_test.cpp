@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <sstream>
+#include <string>
 
 #include "core/heft.hpp"
 #include "sched/serialize.hpp"
@@ -10,59 +11,6 @@
 
 namespace oneport {
 namespace {
-
-TEST(SerializeGraph, RoundTripPreservesEverything) {
-  const TaskGraph original = testbeds::make_lu(8, 10.0);
-  std::stringstream buffer;
-  write_task_graph(buffer, original);
-  const TaskGraph loaded = read_task_graph(buffer);
-  ASSERT_EQ(loaded.num_tasks(), original.num_tasks());
-  ASSERT_EQ(loaded.num_edges(), original.num_edges());
-  for (TaskId v = 0; v < original.num_tasks(); ++v) {
-    EXPECT_DOUBLE_EQ(loaded.weight(v), original.weight(v));
-    for (const EdgeRef& e : original.successors(v)) {
-      EXPECT_TRUE(loaded.has_edge(v, e.task));
-      EXPECT_DOUBLE_EQ(loaded.edge_data(v, e.task), e.data);
-    }
-  }
-}
-
-TEST(SerializeGraph, NamesSurvive) {
-  TaskGraph g;
-  g.add_task(1.5, "alpha");
-  g.add_task(2.5);
-  g.add_edge(0, 1, 0.25);
-  g.finalize();
-  std::stringstream buffer;
-  write_task_graph(buffer, g);
-  const TaskGraph loaded = read_task_graph(buffer);
-  EXPECT_EQ(loaded.name(0), "alpha");
-  EXPECT_TRUE(loaded.name(1).empty());
-}
-
-TEST(SerializeGraph, CommentsAndBlanksIgnored) {
-  std::stringstream buffer(
-      "taskgraph v1\n"
-      "# a comment\n"
-      "\n"
-      "task 0 2.0   # trailing comment\n"
-      "task 1 3.0\n"
-      "edge 0 1 4.0\n");
-  const TaskGraph g = read_task_graph(buffer);
-  EXPECT_EQ(g.num_tasks(), 2u);
-  EXPECT_DOUBLE_EQ(g.edge_data(0, 1), 4.0);
-}
-
-TEST(SerializeGraph, RejectsMalformedInput) {
-  std::stringstream no_header("task 0 1.0\n");
-  EXPECT_THROW(read_task_graph(no_header), std::invalid_argument);
-  std::stringstream bad_stmt("taskgraph v1\nblurb 1 2\n");
-  EXPECT_THROW(read_task_graph(bad_stmt), std::invalid_argument);
-  std::stringstream sparse_ids("taskgraph v1\ntask 5 1.0\n");
-  EXPECT_THROW(read_task_graph(sparse_ids), std::invalid_argument);
-  std::stringstream short_task("taskgraph v1\ntask 0\n");
-  EXPECT_THROW(read_task_graph(short_task), std::invalid_argument);
-}
 
 TEST(SerializeSchedule, RoundTripStaysValid) {
   const TaskGraph g = testbeds::make_stencil(6, 10.0);
@@ -94,27 +42,119 @@ TEST(SerializeStream, WritersLeaveTheCallersPrecisionAlone) {
   const TaskGraph g = testbeds::make_lu(4, 10.0);
   const Schedule s = heft(g, make_paper_platform(),
                           {.model = EftEngine::Model::kOnePort});
-  for (const bool graph : {false, true}) {
-    std::ostringstream os;
-    os << std::setprecision(3);
-    if (graph) {
-      write_task_graph(os, g);
-    } else {
-      write_schedule(os, s);
-    }
-    EXPECT_EQ(os.precision(), 3) << (graph ? "write_task_graph"
-                                           : "write_schedule");
-    os.str("");
-    os << 0.123456;
-    EXPECT_EQ(os.str(), "0.123");
+  std::ostringstream os;
+  os << std::setprecision(3);
+  write_schedule(os, s);
+  EXPECT_EQ(os.precision(), 3);
+  os.str("");
+  os << 0.123456;
+  EXPECT_EQ(os.str(), "0.123");
+}
+
+/// The ImportError kind read_schedule rejects `text` with; kIo (which no
+/// in-memory stream produces) when it is accepted.
+ImportError::Kind reject_kind(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    (void)read_schedule(is);
+  } catch (const ImportError& e) {
+    return e.kind();
   }
+  ADD_FAILURE() << "accepted:\n" << text;
+  return ImportError::Kind::kIo;
+}
+
+/// The rejection message for `text` ("" when accepted).
+std::string reject_message(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    (void)read_schedule(is);
+  } catch (const ImportError& e) {
+    return e.what();
+  }
+  return {};
 }
 
 TEST(SerializeSchedule, RejectsMalformedInput) {
-  std::stringstream no_header("task 0 0 0 1\n");
-  EXPECT_THROW(read_schedule(no_header), std::invalid_argument);
-  std::stringstream bad_comm("schedule v1\ncomm 0 1 0\n");
-  EXPECT_THROW(read_schedule(bad_comm), std::invalid_argument);
+  EXPECT_EQ(reject_kind("task 0 0 0 1\n"), ImportError::Kind::kSyntax);
+  EXPECT_EQ(reject_kind("schedule v1\ncomm 0 1 0\n"),
+            ImportError::Kind::kSyntax);
+  EXPECT_EQ(reject_kind(""), ImportError::Kind::kSyntax);
+  EXPECT_EQ(reject_kind("schedule v2\n"), ImportError::Kind::kSyntax);
+  EXPECT_EQ(reject_kind("schedule v1\nplace 0 0 0 1\n"),
+            ImportError::Kind::kSyntax);
+}
+
+// The bytes after a record's last field used to be dropped.
+TEST(SerializeSchedule, RejectsTrailingFieldsWithTheirLine) {
+  const struct {
+    const char* text;
+    const char* line;
+  } cases[] = {
+      {"schedule v1 extra\ntask 0 0 0 1\n", "(line 1)"},
+      {"schedule v1\ntask 0 0 0 1 999\n", "(line 2)"},
+      {"schedule v1\ntask 0 0 0 1 garbage\n", "(line 2)"},
+      {"schedule v1\ntask 0 0 0 1\ntask 1 1 0 1\ncomm 0 1 0 1 1 2 oops\n",
+       "(line 4)"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(reject_kind(c.text), ImportError::Kind::kSyntax) << c.text;
+    EXPECT_NE(reject_message(c.text).find(c.line), std::string::npos)
+        << reject_message(c.text);
+  }
+  // A comment is not a field.
+  std::istringstream commented("schedule v1 # header\ntask 0 0 0 1 # t\n");
+  EXPECT_EQ(read_schedule(commented).num_tasks(), 1u);
+}
+
+// These reached Schedule::place_task / add_comm and came back as a plain
+// std::invalid_argument; each now has its kind, checked at the boundary.
+TEST(SerializeSchedule, RecordRulesAreTypedAtTheBoundary) {
+  using K = ImportError::Kind;
+  EXPECT_EQ(reject_kind("schedule v1\ntask -1 0 0 1\n"), K::kSyntax);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 -1 0 1\n"), K::kSyntax);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 0 0 1\ntask 1 1 0 1\n"
+                        "comm 0 7 0 1 1 2\n"),
+            K::kUnknownNode);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 0 0 1\ntask 0 1 0 1\n"),
+            K::kDuplicateNode);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 0 2 1\n"), K::kBadWeight);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 0 0 1\ntask 1 1 0 1\n"
+                        "comm 0 1 0 1 2 1\n"),
+            K::kBadWeight);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 3 0 0 1\n"), K::kUnknownNode);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 0 0 1\ntask 1 1 0 1\n"
+                        "comm 0 1 1 1 1 2\n"),
+            K::kSyntax);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 0 0 nan\n"), K::kBadWeight);
+  EXPECT_EQ(reject_kind("schedule v1\ntask 0 0 0 inf\n"), K::kBadWeight);
+  EXPECT_NE(reject_message("schedule v1\ntask 0 0 0 1\ntask 0 1 0 1\n")
+                .find("(line 3)"),
+            std::string::npos);
+}
+
+TEST(SerializeSchedule, StreamsRecordsAcrossChunkBoundaries) {
+  // Far more than one 16 KiB window, records split at every offset, and
+  // one line longer than the window.
+  Schedule s(3000);
+  for (TaskId v = 0; v < 3000; ++v) {
+    s.place_task(v, static_cast<ProcId>(v % 7), 0.1 * v, 0.1 * v + 1.0 / 3);
+  }
+  for (TaskId v = 1; v < 3000; ++v) {
+    s.add_comm({v - 1, v, 0, 1, 0.5 * v, 0.5 * v + 0.25});
+  }
+  std::ostringstream os;
+  write_schedule(os, s);
+  const std::string text = os.str();
+  ASSERT_GT(text.size(), 6u * 16384u);
+  std::istringstream is(text);
+  const Schedule back = read_schedule(is);
+  EXPECT_EQ(back.tasks(), s.tasks());
+  EXPECT_EQ(back.comms(), s.comms());
+
+  std::istringstream long_line("schedule v1\ntask 0 0 0 1" +
+                               std::string(40000, ' ') + "\n");
+  EXPECT_EQ(read_schedule(long_line).num_tasks(), 1u);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 #include "support/invariants.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "graph/dot_import.hpp"
 #include "sched/interval.hpp"
 #include "sched/serialize.hpp"
 #include "sched/validate.hpp"
+#include "util/csv.hpp"
 
 namespace oneport::testsupport {
 namespace {
@@ -129,32 +134,45 @@ std::vector<std::string> check_serialize_round_trip(const Scenario& scenario,
                                                     const Schedule& schedule,
                                                     CommModel model) {
   std::vector<std::string> errors;
+  const TaskGraph& g = scenario.graph;
 
-  std::stringstream graph_io;
-  write_task_graph(graph_io, scenario.graph);
-  TaskGraph graph2;
+  // The JSON writer renders weights and data with csv::format_number, so
+  // the reread graph must hold exactly the doubles that text denotes.
+  const auto rendered = [](double x) {
+    return std::strtod(csv::format_number(x).c_str(), nullptr);
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  std::ostringstream graph_out;
+  write_json_graph(graph_out, g, {.graph_name = "p4"});
+  ImportedGraph imported;
   try {
-    graph2 = read_task_graph(graph_io);
+    imported = import_json(graph_out.str());
   } catch (const std::exception& e) {
     errors.push_back(std::string("graph round-trip failed to parse: ") +
                      e.what());
     return errors;
   }
-  if (graph2.num_tasks() != scenario.graph.num_tasks() ||
-      graph2.num_edges() != scenario.graph.num_edges()) {
-    errors.push_back("graph round-trip changed the shape");
+  const TaskGraph& graph2 = imported.graph;
+  if (imported.graph_name != "p4" || graph2.num_tasks() != g.num_tasks() ||
+      graph2.num_edges() != g.num_edges()) {
+    errors.push_back("graph round-trip changed the name or the shape");
     return errors;
   }
-  for (TaskId v = 0; v < scenario.graph.num_tasks(); ++v) {
-    if (graph2.weight(v) != scenario.graph.weight(v)) {
-      errors.push_back("graph round-trip changed weight of task " +
-                       std::to_string(v));
+  for (TaskId v = 0; v < g.num_tasks(); ++v) {
+    if (!same_bits(graph2.weight(v), rendered(g.weight(v))) ||
+        graph2.name(v) != g.name(v)) {
+      errors.push_back("graph round-trip changed task " + std::to_string(v));
     }
-    for (const EdgeRef& out : scenario.graph.successors(v)) {
-      if (!graph2.has_edge(v, out.task) ||
-          graph2.edge_data(v, out.task) != out.data) {
+    const auto out = g.successors(v);
+    const auto out2 = graph2.successors(v);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (i >= out2.size() || out2[i].task != out[i].task ||
+          !same_bits(out2[i].data, rendered(out[i].data))) {
         errors.push_back("graph round-trip lost or changed edge " +
-                         std::to_string(v) + "->" + std::to_string(out.task));
+                         std::to_string(v) + "->" +
+                         std::to_string(out[i].task));
       }
     }
   }
@@ -173,12 +191,11 @@ std::vector<std::string> check_serialize_round_trip(const Scenario& scenario,
       schedule2.comms() != schedule.comms()) {
     errors.push_back("schedule round-trip is not bit-exact");
   }
-  // The reread schedule must still pass the independent validator against
-  // the reread graph.
+  // The reread schedule must still pass the independent validator.
   const ValidationResult check =
       model == CommModel::kOnePort
-          ? validate_one_port(schedule2, graph2, scenario.platform)
-          : validate_macro_dataflow(schedule2, graph2, scenario.platform);
+          ? validate_one_port(schedule2, g, scenario.platform)
+          : validate_macro_dataflow(schedule2, g, scenario.platform);
   if (!check.ok()) {
     errors.push_back("reread schedule fails validation:\n" + check.message());
   }

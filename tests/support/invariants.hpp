@@ -16,8 +16,9 @@
 //   P3 replay dominance: an ASAP replay under the same model never
 //      increases the makespan, and relaxing a one-port schedule to the
 //      macro-dataflow rules never increases it either;
-//   P4 serialize round-trip: graph and schedule survive a write -> read
-//      cycle bit-exactly;
+//   P4 serialize round-trip: the graph survives a JSON write -> import
+//      cycle (holding exactly the doubles the text denotes) and the
+//      schedule a write -> read cycle, bit-exactly;
 //   P5 communication bounds: every message maps to a cross-processor
 //      edge; on fully-connected platforms each such edge carries exactly
 //      one direct message (so #comms <= #edges, and 0 on a
@@ -49,7 +50,7 @@ namespace oneport::testsupport {
 [[nodiscard]] std::vector<std::string> check_replay_dominance(
     const Scenario& scenario, const Schedule& schedule, CommModel model);
 
-/// P4: write_task_graph/read_task_graph and write_schedule/read_schedule
+/// P4: write_json_graph/import_json and write_schedule/read_schedule
 /// round-trip bit-exactly (and the reread schedule still validates).
 [[nodiscard]] std::vector<std::string> check_serialize_round_trip(
     const Scenario& scenario, const Schedule& schedule, CommModel model);

@@ -31,21 +31,6 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-void write_task_graph(std::ostream& os, const TaskGraph& graph) {
-  OP_REQUIRE(graph.finalized(), "graph must be finalized");
-  full_precision(os) << "taskgraph v1\n";
-  for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    os << "task " << v << ' ' << graph.weight(v);
-    if (!graph.name(v).empty()) os << ' ' << graph.name(v);
-    os << '\n';
-  }
-  for (TaskId u = 0; u < graph.num_tasks(); ++u) {
-    for (const EdgeRef& e : graph.successors(u)) {
-      os << "edge " << u << ' ' << e.task << ' ' << e.data << '\n';
-    }
-  }
-}
-
 void write_schedule(std::ostream& os, const Schedule& schedule) {
   full_precision(os) << "schedule v1\n";
   for (TaskId v = 0; v < schedule.num_tasks(); ++v) {

@@ -1,13 +1,13 @@
 // Reference text writers: the test oracle for the library's schedule,
-// task-graph, DOT and JSON writers and csv::format_number.
+// DOT and JSON writers and csv::format_number.
 //
 // These are the writers as they stood before the chunked std::to_chars
 // rewrite: plain iostream insertion at setprecision(17) for the
 // serializers, an ostringstream per number (std::fixed) for
 // format_number.  tests/text_oracle_test.cpp demands byte-identical
 // output from the production writers on the frozen-oracle rotations and
-// on a number corpus.  Like the old writers, write_schedule and
-// write_task_graph leave `os` at precision 17.
+// on a number corpus.  Like the old writer, write_schedule leaves `os`
+// at precision 17.
 #pragma once
 
 #include <iosfwd>
@@ -19,8 +19,6 @@
 #include "sched/schedule.hpp"
 
 namespace oneport::testsupport::reftext {
-
-void write_task_graph(std::ostream& os, const TaskGraph& graph);
 
 void write_schedule(std::ostream& os, const Schedule& schedule);
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/args.hpp"
@@ -9,6 +12,7 @@
 #include "util/error.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/text_reader.hpp"
 
 namespace oneport {
 namespace {
@@ -258,6 +262,71 @@ TEST(SplitMix64, UniformRespectsBoundsAndSeed) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(a.uniform(0.0, 10.0), b.uniform(0.0, 10.0));
   }
+}
+
+/// Lines as std::getline splits them.
+std::vector<std::string> getline_lines(const std::string& text) {
+  std::istringstream is(text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+template <typename Source>
+std::vector<std::string> reader_lines(Source&& source) {
+  TextReader in(source);
+  std::vector<std::string> lines;
+  std::string_view line;
+  while (in.next_line(line)) {
+    lines.emplace_back(line);
+    EXPECT_EQ(in.line_number(), lines.size());
+  }
+  return lines;
+}
+
+TEST(TextReader, SplitsLinesLikeGetlineFromABufferAndAStream) {
+  const std::string long_line(40000, 'x');
+  const std::vector<std::string> texts = {
+      "", "\n", "a", "a\n", "a\n\nb", "\n\n", std::string("a\0b\nc", 5),
+      long_line, long_line + "\n" + long_line + "\nend"};
+  for (const std::string& text : texts) {
+    EXPECT_EQ(reader_lines(std::string_view(text)), getline_lines(text));
+    std::istringstream is(text);
+    EXPECT_EQ(reader_lines(is), getline_lines(text));
+  }
+}
+
+TEST(TextReader, NumberGrammarIsFromChars) {
+  double x = -1.0;
+  EXPECT_EQ(parse_real("1.5", x), NumberStatus::kOk);
+  EXPECT_EQ(x, 1.5);
+  EXPECT_EQ(parse_real("-0", x), NumberStatus::kOk);
+  EXPECT_TRUE(std::signbit(x));
+  EXPECT_EQ(parse_real("4.9406564584124654e-324", x), NumberStatus::kOk);
+  EXPECT_GT(x, 0.0);
+  for (const char* bad : {"", "+1.5", " 1.5", "1.5 ", "0x1p3", "1.5x", "e5"}) {
+    EXPECT_EQ(parse_real(bad, x), NumberStatus::kNotANumber) << bad;
+  }
+  EXPECT_EQ(parse_real("1e400", x), NumberStatus::kOutOfRange);
+  EXPECT_EQ(parse_real("1e-400", x), NumberStatus::kOutOfRange);
+
+  std::uint64_t i = 0;
+  EXPECT_EQ(parse_index("18446744073709551615", i), NumberStatus::kOk);
+  EXPECT_EQ(i, 18446744073709551615ULL);
+  EXPECT_EQ(parse_index("18446744073709551616", i), NumberStatus::kOutOfRange);
+  for (const char* bad : {"", "-1", "+1", "1 ", "1.0", "12a"}) {
+    EXPECT_EQ(parse_index(bad, i), NumberStatus::kNotANumber) << bad;
+  }
+}
+
+TEST(TextReader, FieldsAndTrim) {
+  std::string_view line = " \ttask\v7  x\r";
+  EXPECT_EQ(next_field(line), "task");
+  EXPECT_EQ(next_field(line), "7");
+  EXPECT_EQ(next_field(line), "x");
+  EXPECT_EQ(next_field(line), "");
+  EXPECT_EQ(trim("  a b \r"), "a b");
+  EXPECT_EQ(trim(" \t "), "");
 }
 
 }  // namespace
