@@ -16,9 +16,9 @@
 //     over the scale graphs, so the prefix-freeze + suffix-rebuild loop
 //     has its own trajectory;
 //   * the timeline under an adversarial middle-insert workload, with its
-//     deferred-compaction cost pinned by OP_ASSERT to the documented
-//     O(n * sqrt(n)) total -- a regression to quadratic middle-inserts
-//     aborts the bench instead of just slowing it;
+//     total element moves pinned by OP_ASSERT to 8 * n * sqrt(n) -- a
+//     regression to quadratic middle-inserts aborts the bench instead of
+//     just slowing it;
 //   * the post-schedule layers on their own (io/): validate_one_port,
 //     write_schedule and read_schedule over the 100k-task HEFT schedule,
 //     and the DOT / JSON graph exporters at 10k tasks, each with a
@@ -309,8 +309,8 @@ void register_reschedule_benchmarks() {
   // seeding into pre-reserved timelines, the heuristic re-run against the
   // mutated platform, and epoch composition.  The rebuild path leans on
   // next_fit/reserve far harder than a static run (every epoch re-seeds
-  // the whole frozen prefix) -- exactly the workload the timeline's
-  // deferred-compaction buffer exists for.
+  // the whole frozen prefix) -- reservations far from the horizon, which
+  // the timeline's gap blocks keep to one block shift each.
   for (const int n : {1000, 5000}) {
     for (const char* trace_name : {"mixed", "dropout"}) {
       const std::string name = "reschedule/n=" + std::to_string(n) +
@@ -352,12 +352,13 @@ void register_reschedule_benchmarks() {
 }
 
 void register_timeline_benchmarks() {
-  // Adversarial middle-insert workload (the deferred-compaction bugfix):
-  // lay down n well-separated blocks, then reserve a sliver inside every
-  // interior gap in a deterministic scattered order.  Appends never hit
-  // the buffer, so this is pure middle-insert traffic.  The OP_ASSERT
-  // pins the timeline's total shifted/merged elements at the documented
-  // 8 * n * sqrt(n) -- if compaction regresses to an O(n) vector insert
+  // Adversarial middle-insert workload: lay down n well-separated busy
+  // intervals, then reserve a sliver inside every interior gap in a
+  // deterministic scattered order, so every reservation after the first
+  // n splits a gap far from the tail.  Each costs one shift inside one
+  // gap block (plus a cut when the block is full), about n * 64 moved
+  // elements in all.  The OP_ASSERT pins the total at 8 * n * sqrt(n):
+  // if the timeline regresses to an O(n) insert into one flat gap list
   // per reservation the total goes quadratic (~n^2/2 already at n=4096)
   // and the bench aborts rather than just reading slower.
   for (const int n : {4096, 16384}) {
@@ -375,7 +376,7 @@ void register_timeline_benchmarks() {
               t.reserve(base, base + 1.0);
             }
             // Scattered order via a coprime stride so consecutive inserts
-            // land in distant gaps and the cursor never saves the day.
+            // land in distant gaps and blocks.
             for (std::size_t k = 0; k < blocks - 1; ++k) {
               const std::size_t i = (k * 2654435761u) % (blocks - 1);
               const double base = 4.0 * static_cast<double>(i);
@@ -387,7 +388,7 @@ void register_timeline_benchmarks() {
           const double bound = 8.0 * static_cast<double>(blocks) *
                                std::sqrt(static_cast<double>(blocks));
           OP_ASSERT(static_cast<double>(moved) <= bound,
-                    "timeline middle-insert compaction went quadratic: "
+                    "timeline middle-insert moves went quadratic: "
                     "moved " + std::to_string(moved) + " elements, bound " +
                         std::to_string(bound));
           state.counters["moved_elements"] = static_cast<double>(moved);

@@ -48,11 +48,8 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
         std::isfinite(lo) ? lo : 0.0;
   }
   // Route lanes.  Without a table every route is its own single hop, so
-  // both lanes are the link matrix.  With one, each pair folds its next
-  // hop's already-final entry, visiting sources in the table's route
-  // order: O(p^2) loads and no path walk.  The zero diagonal makes a
-  // one-hop route's cost the link cost exactly.  A pair whose route has a hole
-  // or a loop keeps +inf in both lanes, so its bound stays non-finite and
+  // both lanes are the link matrix.  A pair whose route has a hole or a
+  // loop keeps +inf in both lanes, so its bound stays non-finite and
   // evaluate_best evaluates it (and path_into raises) exactly as an
   // exhaustive scan would.
   if (routing == nullptr) {
@@ -60,25 +57,9 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
     route_data_ = link_data_;
     return;
   }
-  const std::size_t np = np_;
-  route_lanes_.assign(2 * np * np, std::numeric_limits<double>::infinity());
-  double* const last = route_lanes_.data();
-  double* const route = last + np * np;
-  const int* const next = routing->next_hops().data();
-  const int* const order = routing->route_order().data();
-  for (std::size_t j = 0; j < np; ++j) {
-    last[j * np + j] = 0.0;
-    route[j * np + j] = 0.0;
-    for (std::size_t k = 1; k < np && order[j * np + k] >= 0; ++k) {
-      const auto i = static_cast<std::size_t>(order[j * np + k]);
-      const auto hop = static_cast<std::size_t>(next[i * np + j]);
-      const double cost = link_data_[i * np + hop];
-      last[i * np + j] = hop == j ? cost : last[hop * np + j];
-      route[i * np + j] = cost + route[hop * np + j];
-    }
-  }
-  last_hop_data_ = last;
-  route_data_ = route;
+  route_costs_ = fold_route_costs(*routing, platform);
+  last_hop_data_ = route_costs_.last_hop.data();
+  route_data_ = route_costs_.route.data();
 }
 
 TimelineOverlay& EftEngine::overlay_of(
@@ -166,13 +147,11 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
   // more than one tentative message within this evaluation, so the
   // committed send timelines can be probed directly -- a sender overlay
   // with no extras forwards every probe to its base verbatim.  Only the
-  // receive port of `proc` accumulates tentative reservations; they live
-  // in a start-sorted scratch whose probe below mirrors
-  // TimelineOverlay::next_fit operation for operation (horizon shortcut,
-  // base probe, ordered absorb pass to a fixpoint), so the resulting
-  // evaluation is bit-identical to the general path's.  Overlays are
-  // never touched here, which makes skipping the epoch bump safe: every
-  // general evaluation still bumps before reading one.
+  // receive port of `proc` accumulates tentative reservations, in one
+  // scratch overlay, so the evaluation is bit-identical to the general
+  // path's.  The per-processor overlays are never touched here, which
+  // makes skipping the epoch bump safe: every general evaluation still
+  // bumps before reading one.
   if (model_ == Model::kOnePort && routing_ == nullptr && np_ <= 64) {
     std::uint64_t seen = 0;
     bool distinct = true;
@@ -187,12 +166,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
       seen |= bit;
     }
     if (distinct) {
-      recv_extras_.clear();
-      double extras_horizon = 0.0;
-      const TimelineIndex& rcv = recv_[static_cast<std::size_t>(proc)];
-      // The committed base never changes during one evaluation, matching
-      // the horizon an overlay would have cached at reset.
-      const double rcv_horizon = rcv.horizon();
+      recv_scratch_.reset(recv_[static_cast<std::size_t>(proc)]);
       double arrival = 0.0;
       for (const PredRec& r : preds) {
         if (arrival + exec > cutoff) {
@@ -210,47 +184,10 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
         OP_REQUIRE(std::isfinite(duration),
                    "no direct link P" << r.proc << "->P" << proc
                                       << " and no routing table provided");
-        double start = r.finish;
-        if (duration > kTimeEps) {
-          const TimelineIndex& snd = send_[static_cast<std::size_t>(r.proc)];
-          const auto recv_fit = [&](double ready) {
-            if (ready >= rcv_horizon - kTimeEps &&
-                ready >= extras_horizon - kTimeEps) {
-              return ready;
-            }
-            if (recv_extras_.empty()) return rcv.next_fit(ready, duration);
-            double c = ready;
-            while (true) {
-              c = rcv.next_fit(c, duration);
-              bool moved = false;
-              for (const Interval& extra : recv_extras_) {
-                if (extra.start >= c + duration - kTimeEps) break;
-                if (overlaps(extra, {c, c + duration})) {
-                  c = extra.end;
-                  moved = true;
-                }
-              }
-              if (!moved) return c;
-            }
-          };
-          double candidate = r.finish;
-          while (true) {
-            const double ca = snd.next_fit(candidate, duration);
-            const double cb = recv_fit(ca);
-            if (cb <= ca + kTimeEps) {
-              start = ca;
-              break;
-            }
-            candidate = cb;
-          }
-          const double stop = start + duration;
-          if (stop > extras_horizon) extras_horizon = stop;
-          recv_extras_.insert(
-              std::partition_point(
-                  recv_extras_.begin(), recv_extras_.end(),
-                  [start](const Interval& e) { return e.start < start; }),
-              Interval{start, stop});
-        }
+        const double start =
+            earliest_joint_fit(send_[static_cast<std::size_t>(r.proc)],
+                               recv_scratch_, r.finish, duration);
+        recv_scratch_.add(start, start + duration);
         out.comms.push_back({r.task, r.proc, proc, start, start + duration});
         arrival = std::max(arrival, start + duration);
       }

@@ -32,12 +32,12 @@
 // Lower bounds (fill_bounds).  Take a predecessor u of v on q != p, with
 // finish f_u and data d_u, routed q = a_0 -> a_1 -> ... -> a_k = p with
 // per-item hop costs c_0..c_{k-1}; a direct link is the case k = 1.  Two
-// per-pair lanes, computed once per engine from the next-hop table and
-// the link matrix (never from RoutingTable::distances(), which
-// from_tables does not check), hold the route cost C = c_0 + ... +
-// c_{k-1} and the last-hop cost c_{k-1}; without routing both are the
-// link matrix.  The macro-dataflow bound is max_u (f_u + d_u C) plus the
-// execution time.  The one-port bound adds two terms:
+// per-pair lanes, folded once per engine by fold_route_costs (never from
+// RoutingTable::distances(), which from_tables does not check), hold the
+// route cost C = c_0 + ... + c_{k-1} and the last-hop cost c_{k-1};
+// without routing both are the link matrix.  The macro-dataflow bound is
+// max_u (f_u + d_u C) plus the execution time.  The one-port bound adds
+// two terms:
 //   * Send-port release.  Hop 0 occupies q's send port for d_u c_0 >=
 //     d_u cmin_q (cmin_q = q's cheapest outgoing link) and cannot start
 //     before f_u.  next_fit is monotone in the duration, and this
@@ -209,10 +209,10 @@ class EftEngine {
   /// Row-major p x p route lanes (see the header comment): the per-item
   /// cost of the last hop into the destination, and of the whole route.
   /// Both point at the link matrix without routing, else into
-  /// route_lanes_.
+  /// route_costs_.
   const double* last_hop_data_ = nullptr;
   const double* route_data_ = nullptr;
-  std::vector<double> route_lanes_;  ///< routed storage: last hops, routes
+  RouteCosts route_costs_;  ///< routed storage
   std::vector<TaskPlacement> placements_;
   std::vector<CommPlacement> comms_;
   std::vector<TimelineIndex> compute_;  // per processor
@@ -239,10 +239,9 @@ class EftEngine {
   mutable std::vector<double> arr_scratch_;    ///< per-proc arrival lane
   mutable Evaluation best_scratch_;  ///< evaluate_best result storage
   mutable Evaluation cand_scratch_;
-  /// Tentative receive-port reservations for the overlay-free fast path
-  /// in evaluate_into, kept sorted by start exactly like the extras of a
-  /// TimelineOverlay over the candidate processor's receive port.
-  mutable std::vector<Interval> recv_extras_;
+  /// The candidate's receive port in evaluate_into's overlay-free fast
+  /// path.
+  mutable TimelineOverlay recv_scratch_;
   std::vector<double> min_out_link_;  ///< per proc: min outgoing link cost
 };
 

@@ -92,20 +92,6 @@ Platform heuristic_platform(const Platform& base, const LoopState& st,
   return Platform{std::move(cyc), std::move(link)};
 }
 
-/// earliest_joint_fit over committed timelines (no overlays needed: the
-/// rebuild commits every hop as it goes).
-double joint_fit(const TimelineIndex& send, const TimelineIndex& recv,
-                 double ready, double duration) {
-  if (duration <= kTimeEps) return ready;
-  double cursor = ready;
-  while (true) {
-    const double cs = send.next_fit(cursor, duration);
-    const double cr = recv.next_fit(cs, duration);
-    if (cr <= cs + kTimeEps) return cs;
-    cursor = cr;
-  }
-}
-
 Schedule compose(const LoopState& st) {
   Schedule schedule(st.tasks.size());
   for (TaskId v = 0; v < st.tasks.size(); ++v) {
@@ -238,9 +224,11 @@ void rebuild_suffix(const TaskGraph& graph, const Platform& base,
                                       << " and no routing table provided");
         double start = cursor;
         if (one_port) {
-          start = joint_fit(send[static_cast<std::size_t>(a)],
-                            recv[static_cast<std::size_t>(b)], cursor,
-                            duration);
+          // Committed timelines, no overlays: the rebuild commits every
+          // hop as it goes.
+          start = earliest_joint_fit(send[static_cast<std::size_t>(a)],
+                                     recv[static_cast<std::size_t>(b)],
+                                     cursor, duration);
           send[static_cast<std::size_t>(a)].reserve(start, start + duration);
           recv[static_cast<std::size_t>(b)].reserve(start, start + duration);
         }

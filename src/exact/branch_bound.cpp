@@ -19,7 +19,7 @@ struct Search {
   const TaskGraph& g;
   const Platform& platform;
   const BranchBoundOptions& options;
-  const Matrix<double>* dist;  ///< routed distances, or the link matrix
+  const Matrix<double>* dist;  ///< route costs, or the link matrix
 
   int num_procs;
   double aggregate_speed;
@@ -227,9 +227,11 @@ BranchBoundResult branch_bound_lower_bound(const TaskGraph& g,
     return result;
   }
 
-  const Matrix<double>& dist = options.routing != nullptr
-                                   ? options.routing->distances()
-                                   : platform.link_matrix();
+  const RouteCosts routed = options.routing != nullptr
+                               ? fold_route_costs(*options.routing, platform)
+                               : RouteCosts{};
+  const Matrix<double>& dist =
+      options.routing != nullptr ? routed.route : platform.link_matrix();
   const double t_min = platform.cycle_time(platform.fastest_processor());
 
   Search search{g, platform, options, &dist,

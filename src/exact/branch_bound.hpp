@@ -53,11 +53,13 @@ struct BranchBoundOptions {
   /// sweeps against accidentally pointing the audit at a 100k-task
   /// instance.
   int max_search_tasks = 64;
-  /// For sparse platforms: end-to-end per-item costs come from
-  /// routing->distances() instead of Platform::link, whose off-diagonal
-  /// entries are kNoLink (+inf) for non-adjacent pairs.  The routed
-  /// distance is the sum of hop costs, a lower bound on the actual
-  /// store-and-forward chain time -- still sound.
+  /// For sparse platforms: end-to-end per-item costs are the routes'
+  /// hop sums, folded from the table's next hops and Platform::link
+  /// (fold_route_costs) instead of Platform::link alone, whose
+  /// off-diagonal entries are kNoLink (+inf) for non-adjacent pairs.  The
+  /// hop sum is a lower bound on the actual store-and-forward chain time
+  /// -- still sound.  RoutingTable::distances() is not read: from_tables
+  /// does not check it.  A route with a hole or a loop costs +inf.
   const RoutingTable* routing = nullptr;
 };
 

@@ -220,6 +220,32 @@ double RoutingTable::distance(ProcId from, ProcId to) const {
   return dist_(static_cast<std::size_t>(from), static_cast<std::size_t>(to));
 }
 
+RouteCosts fold_route_costs(const RoutingTable& routing,
+                            const Platform& platform) {
+  OP_REQUIRE(routing.num_processors() == platform.num_processors(),
+             "routing table does not match the platform");
+  const auto np = static_cast<std::size_t>(platform.num_processors());
+  RouteCosts costs{Matrix<double>(np, np, kNoLink),
+                   Matrix<double>(np, np, kNoLink)};
+  double* const last = costs.last_hop.data();
+  double* const route = costs.route.data();
+  const double* const link = platform.link_matrix().data();
+  const int* const next = routing.next_hops().data();
+  const int* const order = routing.route_order().data();
+  for (std::size_t j = 0; j < np; ++j) {
+    last[j * np + j] = 0.0;
+    route[j * np + j] = 0.0;
+    for (std::size_t k = 1; k < np && order[j * np + k] >= 0; ++k) {
+      const auto i = static_cast<std::size_t>(order[j * np + k]);
+      const auto hop = static_cast<std::size_t>(next[i * np + j]);
+      const double cost = link[i * np + hop];
+      last[i * np + j] = hop == j ? cost : last[hop * np + j];
+      route[i * np + j] = cost + route[hop * np + j];
+    }
+  }
+  return costs;
+}
+
 RoutedPlatform make_ring_platform(std::vector<double> cycle_times,
                                   double link) {
   const auto n = cycle_times.size();

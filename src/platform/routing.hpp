@@ -113,10 +113,11 @@ class RoutingTable {
   /// defensive checks.  `dist(i,j)` is the per-item cost and `next(i,j)`
   /// the first hop from i toward j (with next(i,i) == i).  Nothing is
   /// validated here; path_into() throws on holes and routing loops.
-  /// `dist` is reported by distance() but trusted by no scheduler: the
-  /// EFT engine derives every route's cost from `next` and the platform's
-  /// link matrix, so a `dist` that disagrees with the hop sums cannot
-  /// make its pruning unsound.
+  /// `dist` is reported by distance() but trusted by no scheduler or
+  /// bound: the EFT engine and the branch-and-bound search derive every
+  /// route's cost from `next` and the platform's link matrix
+  /// (fold_route_costs), so a `dist` that disagrees with the hop sums
+  /// cannot make their bounds unsound.
   static RoutingTable from_tables(int p, Matrix<double> dist,
                                   Matrix<int> next);
 
@@ -170,6 +171,24 @@ class RoutingTable {
   Matrix<int> next_;     // next hop on the shortest path
   Matrix<int> order_;    // per destination: well-formed sources, BFS order
 };
+
+/// Per-item route costs derived from a table's next hops and a
+/// platform's link matrix, never from RoutingTable::distances(), which
+/// from_tables does not check.  Both are p x p: `route(i, j)` is the sum
+/// of the hop costs from i to j, `last_hop(i, j)` the cost of the last
+/// hop, into j.  A pair whose route has a hole or a loop keeps +inf in
+/// both; the diagonal is 0.
+struct RouteCosts {
+  Matrix<double> last_hop;
+  Matrix<double> route;
+};
+
+/// Folds RouteCosts along RoutingTable::route_order(): each pair adds
+/// its first hop's link cost to its next hop's already-final entry, so
+/// the cost is summed from the destination end in O(p^2) loads with no
+/// path walk, and a one-hop route costs exactly its link.
+[[nodiscard]] RouteCosts fold_route_costs(const RoutingTable& routing,
+                                          const Platform& platform);
 
 /// A sparse platform plus its routing table, built together.
 struct RoutedPlatform {

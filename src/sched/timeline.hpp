@@ -15,6 +15,7 @@
 // fuzz TimelineIndex against it and demand bit-identical answers.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,27 +29,23 @@ namespace oneport {
 /// gaps.  The first gap starts at -infinity and the last gap ends at
 /// +infinity; consecutive gaps are separated by exactly one busy
 /// interval, so `gap i end .. gap i+1 start` *is* the i-th busy
-/// interval.  next_fit/reserve locate the gap covering a time point by
-/// first probing a cursor remembering where the previous reservation
-/// landed (list scheduling reserves back-to-back slots, so the probe
-/// almost always hits) and only then falling back to a galloping search.
+/// interval.
 ///
-/// Reservations that split a gap far from the back of the list are
-/// *deferred*: instead of an O(n) vector middle-insert per reservation
-/// (which turns the rescheduling workload's repeated prefix-freeze seeding
-/// quadratic), they accumulate in a small sorted side buffer that every
-/// query consults, and are folded into the gap list by a linear-merge
-/// compaction once the buffer reaches ~sqrt(gaps).  That bounds the
-/// amortized middle-insert cost at O(sqrt(n)) while leaving the hot
-/// back-to-back append path untouched (the buffer stays empty).
+/// The list is cut into blocks of at most kBlockGaps gaps, each one
+/// fixed allocation, with two summaries per block kept in dense arrays:
+/// the end of its last gap, so a binary search over blocks and one inside
+/// a block locate any time point, and an upper bound on the durations
+/// its finite gaps can hold, so a fit search skips whole blocks.  A
+/// reservation rewrites one block (a full block is first cut in two, an
+/// emptied one is dropped): O(log blocks + kBlockGaps), no rebuild.
 ///
-/// The index also caches the busy horizon: a probe at or beyond it
-/// (within kTimeEps) provably returns `ready` (no stored interval ends
-/// after ready + kTimeEps), so list scheduling's dominant append pattern
-/// is answered inline without a gap search.
+/// Two shortcuts answer the common probes without a search: the busy
+/// horizon (a probe at or beyond it, within kTimeEps, provably returns
+/// `ready`), and a remembered (block, gap) position of the last search,
+/// checked before use, since successive probes of one timeline cluster.
 ///
-/// Not thread-safe, not even for const queries: the cursor is updated
-/// from next_fit.  Use one timeline (engine) per thread.
+/// Not thread-safe, not even for const queries: the remembered position
+/// is updated from next_fit.  Use one timeline (engine) per thread.
 class TimelineIndex {
  public:
   /// Earliest start >= `ready` such that [start, start+duration) is free.
@@ -79,77 +76,80 @@ class TimelineIndex {
 
   /// End of the last non-degenerate reservation (0 when empty).
   [[nodiscard]] double horizon() const noexcept { return horizon_; }
-  [[nodiscard]] bool empty() const noexcept {
-    return gap_starts_.size() < 2 && pending_.empty();
-  }
+  [[nodiscard]] bool empty() const noexcept { return blocks_.empty(); }
   void clear() noexcept {
-    gap_starts_.clear();
-    gap_ends_.clear();
-    pending_.clear();
-    pending_min_start_ = 0.0;
-    pending_max_end_ = 0.0;
-    hint_ = 0;
-    widest_interior_ = 0.0;
+    blocks_.clear();
+    last_ends_.clear();
+    fit_limits_.clear();
+    cursor_ = {};
     horizon_ = 0.0;
   }
 
   /// Total busy time.
   [[nodiscard]] double busy_time() const noexcept;
-  /// Materialized busy intervals, sorted, touching intervals merged.
+  /// Materialized busy intervals, sorted.
   [[nodiscard]] std::vector<Interval> busy_intervals() const;
 
-  /// Cost counters for the deferred-compaction machinery, used by the
-  /// scale benchmarks to pin the middle-insert complexity.
+  /// Cost counter of the block updates, used by the scale benchmarks to
+  /// pin the middle-insert complexity.
   struct Stats {
-    std::size_t deferred_inserts = 0;  ///< reservations buffered instead
-    std::size_t flushes = 0;           ///< linear-merge compactions run
-    std::size_t moved_elements = 0;    ///< vector elements shifted/merged
+    std::size_t moved_elements = 0;  ///< gaps shifted or copied
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  static constexpr std::size_t kBlockGaps = 128;  ///< gaps per block
+
+  // Free gaps as structure-of-arrays: gap i spans [starts[i], ends[i]).
+  // The ends get their own dense array because locating a gap is a
+  // binary search over ends alone.
+  struct Block {
+    std::size_t size = 0;
+    double starts[kBlockGaps];
+    double ends[kBlockGaps];
+  };
+  struct Pos {
+    std::size_t block = 0;
+    std::size_t gap = 0;
+  };
+
   /// Gap search behind next_fit, for probes short of the horizon.
   [[nodiscard]] double search(double ready, double duration) const;
 
   /// The gap-list update behind reserve.
   void insert(double start, double end);
 
-  /// Index of the first gap whose end is after `t` (the gap in or after
-  /// which a slot starting at or after `t` must begin).  Requires a
-  /// non-empty gap list.
-  [[nodiscard]] std::size_t gap_ending_after(double t) const;
+  /// Position of the first gap whose end is after `t` + kTimeEps (the
+  /// gap in or after which a slot starting at or after `t` must begin).
+  /// Requires a non-empty gap list.
+  [[nodiscard]] Pos locate(double t) const;
 
-  /// Folds pending_ into the gap list with one linear merge.
-  void flush_pending();
+  /// Inserts gap [start, end) at `pos`, cutting a full block in two.
+  void insert_gap(Pos pos, double start, double end);
 
-  // Free gaps as structure-of-arrays: gap i spans
-  // [gap_starts_[i], gap_ends_[i]).  The ends get their own dense array
-  // because locating a gap is a binary search over ends alone -- an
-  // 8-byte stride touches half the cache lines a packed Interval pair
-  // would.  Empty means "never reserved" == one gap (-inf, +inf);
-  // materialized on the first reserve() so default-constructed timelines
-  // stay allocation-free.
-  std::vector<double> gap_starts_;
-  std::vector<double> gap_ends_;
-  // Deferred busy intervals: sorted by start, pairwise non-overlapping,
-  // each strictly inside one materialized gap at the time it was buffered.
-  std::vector<Interval> pending_;
-  // Envelope of the buffer (meaningful only while pending_ is non-empty):
-  // a probe at or past every buffered end, or ending at or before every
-  // buffered start, provably absorbs nothing, so the per-probe
-  // partition_point over the buffer is skipped entirely.
-  double pending_min_start_ = 0.0;
-  double pending_max_end_ = 0.0;
-  mutable std::size_t hint_ = 0;  ///< gap index probed before searching
-  // Upper bound on the width of every materialized gap with two finite
-  // endpoints (interior gaps; the -inf head and +inf sentinel are
-  // excluded).  Reservations only shrink or split gaps, so the bound can
-  // go stale high but never low; it is retightened exactly on every
-  // flush_pending().  search() uses it to answer "no interior gap can
-  // hold this duration" in O(1) and jump straight to the horizon, which
-  // is the dominant outcome for interior probes on long timelines whose
-  // surviving gaps are small.
-  double widest_interior_ = 0.0;
+  /// Removes the gap at `pos`, dropping its block when it empties.
+  void erase_gap(Pos pos);
+
+  /// Recomputes block b's fit limit from its finite gaps.
+  void refit(std::size_t b);
+
+  [[nodiscard]] double tail_start() const noexcept {
+    const Block& last = *blocks_.back();
+    return last.starts[last.size - 1];
+  }
+
+  // Empty means "never reserved" == one gap (-inf, +inf); materialized on
+  // the first reserve() so default-constructed timelines stay
+  // allocation-free.
+  std::vector<std::unique_ptr<Block>> blocks_;
+  std::vector<double> last_ends_;  ///< per block: end of its last gap
+  // Per block: no duration at or above the limit fits any of its gaps
+  // with two finite endpoints (the -inf head and +inf tail gaps are left
+  // out; see fit_limit in the .cpp).  Exact when a block is cut, folded
+  // when a new finite gap splits off the head or the tail, and otherwise
+  // stale high only: reservations shrink gaps.
+  std::vector<double> fit_limits_;
+  mutable Pos cursor_;    ///< position of the last search, checked on use
   double horizon_ = 0.0;  ///< end of the last non-degenerate reservation
   Stats stats_;
 };
@@ -192,12 +192,22 @@ class TimelineOverlay {
   std::vector<Interval> extras_;  // kept sorted by start
 };
 
-/// Earliest start >= `ready` at which BOTH overlays have [start,
+/// Earliest start >= `ready` at which BOTH ports have [start,
 /// start+duration) free -- the one-port constraint for a transfer that
 /// occupies the sender's send port and the receiver's receive port
-/// simultaneously.
-[[nodiscard]] double earliest_joint_fit(const TimelineOverlay& a,
-                                        const TimelineOverlay& b,
-                                        double ready, double duration);
+/// simultaneously.  Each port is a TimelineIndex or a TimelineOverlay.
+template <typename SendPort, typename RecvPort>
+[[nodiscard]] double earliest_joint_fit(const SendPort& send,
+                                        const RecvPort& recv, double ready,
+                                        double duration) {
+  if (duration <= kTimeEps) return ready;
+  double candidate = ready;
+  while (true) {
+    const double cs = send.next_fit(candidate, duration);
+    const double cr = recv.next_fit(cs, duration);
+    if (cr <= cs + kTimeEps) return cs;
+    candidate = cr;
+  }
+}
 
 }  // namespace oneport

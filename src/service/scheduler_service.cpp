@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/env_knobs.hpp"
-#include "util/profiler.hpp"
 
 namespace oneport::service {
 
@@ -90,7 +89,6 @@ Ticket SchedulerService::submit(analysis::SweepPoint point) {
     if (mode_ == Backpressure::kReject) {
       if (queue_.size() >= depth_ || stopping_) {
         ++rejected_;
-        prof::bump(prof::Counter::kServiceRejects);
         ticket.retry_after_ms = retry_after_ms_;
         return ticket;
       }
@@ -98,7 +96,6 @@ Ticket SchedulerService::submit(analysis::SweepPoint point) {
       while (queue_.size() >= depth_ && !stopping_) not_full_.wait(lock);
       if (stopping_) {
         ++rejected_;
-        prof::bump(prof::Counter::kServiceRejects);
         ticket.retry_after_ms = retry_after_ms_;
         return ticket;
       }
@@ -134,7 +131,6 @@ void SchedulerService::worker_loop(unsigned shard) {
     // A whole batch freed up to `batch_` queue slots: wake every parked
     // submitter, not just one.
     not_full_.notify_all();
-    prof::bump(prof::Counter::kServiceBatches);
 
     std::vector<std::uint64_t> batch_latencies;
     batch_latencies.reserve(batch.size());
@@ -152,9 +148,6 @@ void SchedulerService::worker_loop(unsigned shard) {
         response.service_ns = elapsed_ns(admitted, done);
         response.latency_ns = elapsed_ns(job.enqueued, done);
         batch_latencies.push_back(response.latency_ns);
-        prof::bump(prof::Counter::kServiceRequests);
-        prof::bump(prof::Counter::kServiceLatencyNanos,
-                   response.latency_ns);
         job.promise.set_value(std::move(response));
       } catch (...) {
         // A faulting request (unknown testbed, failed validation, ...)

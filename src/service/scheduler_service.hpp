@@ -24,9 +24,8 @@
 //     executor run_sweep farms over the pool -- so a service schedule is
 //     bit-identical to the same job run through the batch path
 //     (tests/service_test.cpp pins this);
-//   * per-request latency (enqueue -> completion) lands in the response,
-//     in the service's own stats, and -- when the profiler is on -- in
-//     the kService* counters of util/profiler.
+//   * per-request latency (enqueue -> completion) lands in the response
+//     and in the service's own stats.
 //
 // Defaults resolve from the ONEPORT_SERVICE_* env knobs (docs/KNOBS.md);
 // explicit ServiceOptions fields win over the environment.

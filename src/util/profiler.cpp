@@ -16,14 +16,9 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kPruneEvals: return "prune_evals";
     case Counter::kPruneSkips: return "prune_skips";
     case Counter::kEngineCommits: return "engine_commits";
-    case Counter::kGapDeferredInserts: return "gap_deferred_inserts";
     case Counter::kGapFlushes: return "gap_flushes";
     case Counter::kPoolTasks: return "pool_tasks";
     case Counter::kPoolTaskNanos: return "pool_task_nanos";
-    case Counter::kServiceRequests: return "service_requests";
-    case Counter::kServiceBatches: return "service_batches";
-    case Counter::kServiceRejects: return "service_rejects";
-    case Counter::kServiceLatencyNanos: return "service_latency_nanos";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -41,14 +41,12 @@ enum class Counter : std::uint32_t {
   kPruneEvals,             ///< candidate processors actually evaluated
   kPruneSkips,             ///< candidates pruned by the finish lower bound
   kEngineCommits,          ///< EftEngine::commit calls
-  kGapDeferredInserts,     ///< TimelineIndex middle inserts buffered
-  kGapFlushes,             ///< TimelineIndex deferred-buffer compactions
+  /// Always 0: the deferred-buffer compactions it counted are gone
+  /// (TimelineIndex keeps fixed-size gap blocks); kept because the
+  /// repository benchmark reports it as sched.gap_flushes.
+  kGapFlushes,
   kPoolTasks,              ///< thread-pool jobs executed
   kPoolTaskNanos,          ///< total wall nanoseconds inside pool jobs
-  kServiceRequests,        ///< scheduler-service requests completed
-  kServiceBatches,         ///< scheduler-service admission batches drained
-  kServiceRejects,         ///< requests rejected by backpressure
-  kServiceLatencyNanos,    ///< total enqueue-to-completion nanoseconds
   kCount,
 };
 

@@ -466,14 +466,42 @@ TEST(BranchBoundSoundness, LowerBoundsHoldOnWorkloadFamilies) {
 }
 
 TEST(BranchBoundSoundness, RoutedScenariosUseRoutedDistances) {
-  // Sparse platforms: the bound must consult RoutingTable::distances()
-  // (the link matrix holds +inf for non-adjacent pairs) and still floor
-  // every heuristic's store-and-forward schedule.
+  // Sparse platforms: the bound must cost routed messages by their hop
+  // sums (the link matrix holds +inf for non-adjacent pairs) and still
+  // floor every heuristic's store-and-forward schedule.
   for (const testsupport::Scenario& scenario :
        testsupport::routed_scenario_sweep(131, 10)) {
     SCOPED_TRACE(scenario.description);
     check_lb_soundness(scenario);
   }
+}
+
+TEST(BranchBoundSoundness, IgnoresUncheckedTableDistances) {
+  // from_tables checks neither table.  Here `dist` claims 100 per item
+  // between two processors whose direct link costs 1, so a bound read
+  // from distances() (21, "proven optimal") would exceed the 12 that
+  // heft-oneport reaches: a on P0, b after it, c on P1 once a's message
+  // arrives at 2.  The search must cost the route from its hops.
+  TaskGraph g;
+  const TaskId a = g.add_task(1.0);
+  g.add_edge(a, g.add_task(10.0), 1.0);
+  g.add_edge(a, g.add_task(10.0), 1.0);
+  g.finalize();
+  const Platform platform = make_homogeneous_platform(2);
+  Matrix<double> dist(2, 2, 100.0);
+  dist(0, 0) = dist(1, 1) = 0.0;
+  Matrix<int> next(2, 2, 0);
+  next(0, 1) = next(1, 1) = 1;
+  const RoutingTable table =
+      RoutingTable::from_tables(2, std::move(dist), std::move(next));
+  BranchBoundOptions options;
+  options.routing = &table;
+  const BranchBoundResult bb = branch_bound_lower_bound(g, platform, options);
+  const Schedule schedule = heft(g, platform, {.routing = &table});
+  ASSERT_TRUE(validate_one_port(schedule, g, platform).ok());
+  EXPECT_DOUBLE_EQ(schedule.makespan(), 12.0);
+  EXPECT_TRUE(bb.proven_optimal);
+  EXPECT_DOUBLE_EQ(bb.lower_bound, 12.0);
 }
 
 TEST(Theorem2, IffPropertyOnSmallInstances) {
