@@ -12,12 +12,14 @@
 
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "core/heft.hpp"
 #include "core/ilha.hpp"
 #include "platform/platform.hpp"
 #include "testbeds/registry.hpp"
+#include "testbeds/testbeds.hpp"
 
 namespace opbench {
 
@@ -71,18 +73,30 @@ inline void register_runtime_benchmarks(const std::string& testbed_name,
       ->Unit(benchmark::kMillisecond);
 }
 
-/// Standard main for a figure binary: print the series table, then run
-/// the registered runtime benchmarks.
+/// Standard main for a figure binary: print the series table -- the
+/// {testbed} x {100..500} x {heft-oneport, ilha-oneport} grid at the
+/// paper's c, run through analysis::run_sweep -- then run the registered
+/// runtime benchmarks.
 inline int figure_main(int argc, char** argv, const std::string& title,
-                       const oneport::analysis::FigureConfig& config,
+                       const std::string& testbed, int chunk_size,
                        const std::string& expectation) {
-  const oneport::Platform platform = oneport::make_paper_platform();
-  oneport::analysis::print_figure(std::cout, title, config, platform);
+  using namespace oneport;
+  const Platform platform = make_paper_platform();
+  const std::vector<int> sizes = {100, 200, 300, 400, 500};
+  const std::vector<analysis::SweepResult> rows = analysis::run_sweep(
+      analysis::make_sweep_grid({testbed}, sizes,
+                                {"heft-oneport", "ilha-oneport"},
+                                testbeds::kPaperCommRatio, chunk_size),
+      platform);
+  std::cout << title << "\n"
+            << "testbed=" << testbed << " c=" << testbeds::kPaperCommRatio
+            << " B=" << chunk_size << " p=" << platform.num_processors()
+            << "\n";
+  analysis::figure_table(rows).write_pretty(std::cout);
   std::cout << "paper reference: " << expectation << "\n\n";
 
-  const int mid = config.sizes[config.sizes.size() / 2];
-  register_runtime_benchmarks(config.testbed, mid, config.comm_ratio,
-                              config.chunk_size);
+  register_runtime_benchmarks(testbed, sizes[sizes.size() / 2],
+                              testbeds::kPaperCommRatio, chunk_size);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

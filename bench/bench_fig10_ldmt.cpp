@@ -5,10 +5,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  oneport::analysis::FigureConfig config;
-  config.testbed = "LDMt";
-  config.chunk_size = 20;
   return opbench::figure_main(
-      argc, argv, "Figure 10 -- LDMt, ratio vs problem size", config,
-      "ILHA ~10% over HEFT, ILHA -> 4.9 at n=500");
+      argc, argv, "Figure 10 -- LDMt, ratio vs problem size", "LDMt",
+      /*chunk_size=*/20, "ILHA ~10% over HEFT, ILHA -> 4.9 at n=500");
 }

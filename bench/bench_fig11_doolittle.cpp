@@ -4,10 +4,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  oneport::analysis::FigureConfig config;
-  config.testbed = "DOOLITTLE";
-  config.chunk_size = 20;
   return opbench::figure_main(
-      argc, argv, "Figure 11 -- DOOLITTLE, ratio vs problem size", config,
-      "ILHA ~10% over HEFT, ILHA -> 4.4 at n=500");
+      argc, argv, "Figure 11 -- DOOLITTLE, ratio vs problem size", "DOOLITTLE",
+      /*chunk_size=*/20, "ILHA ~10% over HEFT, ILHA -> 4.4 at n=500");
 }

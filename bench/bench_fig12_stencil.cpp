@@ -7,10 +7,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  oneport::analysis::FigureConfig config;
-  config.testbed = "STENCIL";
-  config.chunk_size = 38;
   return opbench::figure_main(
-      argc, argv, "Figure 12 -- STENCIL, ratio vs problem size", config,
-      "ratio DECREASES with n; ILHA -> 2.7, HEFT -> 2.4");
+      argc, argv, "Figure 12 -- STENCIL, ratio vs problem size", "STENCIL",
+      /*chunk_size=*/38, "ratio DECREASES with n; ILHA -> 2.7, HEFT -> 2.4");
 }

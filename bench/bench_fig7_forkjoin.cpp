@@ -9,12 +9,10 @@
 #include "util/csv.hpp"
 
 int main(int argc, char** argv) {
-  oneport::analysis::FigureConfig config;
-  config.testbed = "FORK-JOIN";
-  config.chunk_size = 38;
-  const double cap = 1.0 * 6.0 / config.comm_ratio + 1.0;
+  const double cap = 1.0 * 6.0 / oneport::testbeds::kPaperCommRatio + 1.0;
   return opbench::figure_main(
-      argc, argv, "Figure 7 -- FORK-JOIN, ratio vs problem size", config,
+      argc, argv, "Figure 7 -- FORK-JOIN, ratio vs problem size", "FORK-JOIN",
+      /*chunk_size=*/38,
       "HEFT == ILHA, ratio 1.53-1.58, analytic cap " +
           oneport::csv::format_number(cap));
 }

@@ -6,10 +6,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  oneport::analysis::FigureConfig config;
-  config.testbed = "LU";
-  config.chunk_size = 4;
   return opbench::figure_main(
-      argc, argv, "Figure 8 -- LU, ratio vs problem size", config,
-      "ILHA -> 5.0 at n=500, HEFT -> 4.5; gap widens with n");
+      argc, argv, "Figure 8 -- LU, ratio vs problem size", "LU",
+      /*chunk_size=*/4, "ILHA -> 5.0 at n=500, HEFT -> 4.5; gap widens with n");
 }

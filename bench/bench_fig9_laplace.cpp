@@ -6,10 +6,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  oneport::analysis::FigureConfig config;
-  config.testbed = "LAPLACE";
-  config.chunk_size = 38;
   return opbench::figure_main(
-      argc, argv, "Figure 9 -- LAPLACE, ratio vs problem size", config,
-      "ILHA ~10% over HEFT, ILHA -> 5.6 at n=500");
+      argc, argv, "Figure 9 -- LAPLACE, ratio vs problem size", "LAPLACE",
+      /*chunk_size=*/38, "ILHA ~10% over HEFT, ILHA -> 5.6 at n=500");
 }

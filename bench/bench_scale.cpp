@@ -327,14 +327,12 @@ void register_reschedule_benchmarks() {
             const dyn::EventTrace trace = dyn::make_named_trace(
                 trace_name, graph, platform, initial,
                 /*seed=*/20260729u + static_cast<std::uint64_t>(n));
-            dyn::DynamicOptions options;
-            options.model = CommModel::kOnePort;
             double makespan = 0.0;
             double epochs = 0.0;
             prof::reset();
             for (auto _ : state) {
               const dyn::DynamicResult result = dyn::run_dynamic(
-                  graph, platform, "heft-oneport", config, trace, options);
+                  graph, platform, "heft-oneport", config, trace);
               makespan = result.schedule.makespan();
               epochs = static_cast<double>(result.epochs.size());
               benchmark::DoNotOptimize(makespan);

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       {"scheduler", "model", "makespan", "ratio", "messages", "valid"});
   for (const SchedulerEntry& entry : builtin_schedulers(chunk)) {
     const Schedule schedule = entry.run(graph, platform);
-    const bool one_port = entry.name.find("oneport") != std::string::npos;
+    const bool one_port = entry.model == CommModel::kOnePort;
     const ValidationResult check =
         one_port ? validate_one_port(schedule, graph, platform)
                  : validate_macro_dataflow(schedule, graph, platform);

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <ostream>
 #include <utility>
 
 #include "analysis/metrics.hpp"
 #include "analysis/topology_cache.hpp"
-#include "core/heft.hpp"
-#include "core/ilha.hpp"
 #include "core/registry.hpp"
 #include "dynamic/events.hpp"
 #include "dynamic/reschedule.hpp"
@@ -23,91 +20,12 @@ namespace oneport::analysis {
 
 namespace {
 
-/// Registry convention shared with the property sweep: "*-oneport"
-/// entries are scheduled (and must be validated) under the one-port
-/// rules, everything else under macro-dataflow.
-bool is_one_port(const std::string& scheduler_name) {
-  return scheduler_name.find("oneport") != std::string::npos;
-}
-
 unsigned resolve_workers(int workers) {
   return workers <= 0 ? ThreadPool::default_workers()
                       : static_cast<unsigned>(workers);
 }
 
 }  // namespace
-
-std::vector<FigureRow> run_figure(const FigureConfig& config,
-                                  const Platform& platform) {
-  const testbeds::TestbedEntry testbed = testbeds::find_testbed(config.testbed);
-  std::vector<FigureRow> rows(config.sizes.size());
-  ThreadPool pool(resolve_workers(config.workers));
-  // Every size is an independent pure computation writing its own row, so
-  // the output is in sweep order and identical for any worker count.
-  pool.parallel_for(config.sizes.size(), [&](std::size_t i) {
-    const int n = config.sizes[i];
-    const TaskGraph graph = testbed.make(n, config.comm_ratio);
-
-    const Schedule heft_sched =
-        heft(graph, platform, {.model = EftEngine::Model::kOnePort});
-    const Schedule ilha_sched =
-        ilha(graph, platform, {.model = EftEngine::Model::kOnePort,
-                               .chunk_size = config.chunk_size});
-    if (config.validate) {
-      const ValidationResult vh = validate_one_port(heft_sched, graph,
-                                                    platform);
-      ensure(vh.ok(), "HEFT schedule invalid for " + config.testbed + "(" +
-                          std::to_string(n) + "): " + vh.message());
-      const ValidationResult vi = validate_one_port(ilha_sched, graph,
-                                                    platform);
-      ensure(vi.ok(), "ILHA schedule invalid for " + config.testbed + "(" +
-                          std::to_string(n) + "): " + vi.message());
-    }
-
-    FigureRow row;
-    row.size = n;
-    row.heft_makespan = heft_sched.makespan();
-    row.ilha_makespan = ilha_sched.makespan();
-    row.heft_speedup = speedup(graph, platform, heft_sched);
-    row.ilha_speedup = speedup(graph, platform, ilha_sched);
-    row.heft_comms = heft_sched.num_comms();
-    row.ilha_comms = ilha_sched.num_comms();
-    rows[i] = row;
-  });
-  return rows;
-}
-
-csv::Table figure_table(const std::vector<FigureRow>& rows) {
-  csv::Table table({"n", "heft_ratio", "ilha_ratio", "ilha_gain_pct",
-                    "heft_makespan", "ilha_makespan", "heft_msgs",
-                    "ilha_msgs"});
-  for (const FigureRow& r : rows) {
-    const double gain =
-        r.heft_speedup > 0.0
-            ? (r.ilha_speedup / r.heft_speedup - 1.0) * 100.0
-            : 0.0;
-    table.add_row({std::to_string(r.size), csv::format_number(r.heft_speedup),
-                   csv::format_number(r.ilha_speedup),
-                   csv::format_number(gain, 1),
-                   csv::format_number(r.heft_makespan, 0),
-                   csv::format_number(r.ilha_makespan, 0),
-                   std::to_string(r.heft_comms),
-                   std::to_string(r.ilha_comms)});
-  }
-  return table;
-}
-
-void print_figure(std::ostream& os, const std::string& title,
-                  const FigureConfig& config, const Platform& platform) {
-  os << title << "\n";
-  os << "testbed=" << config.testbed << " c=" << config.comm_ratio
-     << " B=" << config.chunk_size << " p=" << platform.num_processors()
-     << "\n";
-  figure_table(run_figure(config, platform)).write_pretty(os);
-  os.flush();
-}
-
-// ------------------------------------------------- general grid sweeps
 
 std::vector<SweepPoint> make_sweep_grid(
     const std::vector<std::string>& testbed_names,
@@ -180,13 +98,9 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
     // reject any conflicting reservation.
     const dyn::EventTrace trace = dyn::make_named_trace(
         point.events, graph, target, schedule, point.topology_seed);
-    dyn::DynamicOptions dyn_options;
-    dyn_options.model = is_one_port(point.scheduler)
-                            ? CommModel::kOnePort
-                            : CommModel::kMacroDataflow;
-    dyn_options.rebalance = point.rebalance;
-    const dyn::DynamicResult dynamic = dyn::run_dynamic(
-        graph, target, point.scheduler, config, trace, dyn_options);
+    const dyn::DynamicResult dynamic =
+        dyn::run_dynamic(graph, target, point.scheduler, config, trace,
+                         {.rebalance = point.rebalance});
     schedule = dynamic.schedule;
     // Report the worst epoch skew: per epoch the rebalancing pass never
     // increases the imbalance, so max(after) <= max(before) and the
@@ -197,7 +111,7 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
     }
   } else if (options.validate) {
     const ValidationResult result =
-        is_one_port(point.scheduler)
+        scheduler.model == CommModel::kOnePort
             ? validate_one_port(schedule, graph, target)
             : validate_macro_dataflow(schedule, graph, target);
     ensure(result.ok(), point.scheduler + " schedule invalid for " +
@@ -243,6 +157,35 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepPoint>& grid,
     results[i] = run_sweep_point(grid[i], platform, options);
   });
   return results;
+}
+
+csv::Table figure_table(const std::vector<SweepResult>& rows) {
+  OP_REQUIRE(rows.size() % 2 == 0,
+             "figure rows must pair heft-oneport with ilha-oneport; got "
+                 << rows.size() << " rows");
+  csv::Table table({"n", "heft_ratio", "ilha_ratio", "ilha_gain_pct",
+                    "heft_makespan", "ilha_makespan", "heft_msgs",
+                    "ilha_msgs"});
+  for (std::size_t i = 0; i < rows.size(); i += 2) {
+    const SweepResult& h = rows[i];
+    const SweepResult& l = rows[i + 1];
+    OP_REQUIRE(h.point.scheduler == "heft-oneport" &&
+                   l.point.scheduler == "ilha-oneport" &&
+                   h.point.size == l.point.size &&
+                   h.point.testbed == l.point.testbed,
+               "figure rows " << i << " and " << i + 1
+                              << " do not pair heft-oneport with "
+                                 "ilha-oneport on one size");
+    const double gain =
+        h.speedup > 0.0 ? (l.speedup / h.speedup - 1.0) * 100.0 : 0.0;
+    table.add_row({std::to_string(h.point.size),
+                   csv::format_number(h.speedup),
+                   csv::format_number(l.speedup), csv::format_number(gain, 1),
+                   csv::format_number(h.makespan, 0),
+                   csv::format_number(l.makespan, 0),
+                   std::to_string(h.num_comms), std::to_string(l.num_comms)});
+  }
+  return table;
 }
 
 csv::Table sweep_table(const std::vector<SweepResult>& rows) {

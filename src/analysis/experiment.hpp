@@ -1,21 +1,17 @@
-// The experiment harness behind Figures 7-12: for one testbed, sweep the
-// problem size, run HEFT and ILHA under the one-port model, validate both
-// schedules, and report the paper's ratio (sequential time / makespan).
+// The experiment harness: run_sweep schedules a (topology, testbed, n,
+// heuristic, event trace) grid, validates every schedule, and reports the
+// paper's ratio (sequential time / makespan) per point.  Figures 7-12 are
+// the grid {one testbed} x {100..500} x {heft-oneport, ilha-oneport},
+// which figure_table lays out as the paper plots it.
 //
-// Two drivers exist:
-//   * run_figure: the paper's fixed HEFT+ILHA column pair over one
-//     testbed's size sweep;
-//   * run_sweep: the general (testbed, n, heuristic) grid, each point an
-//     independent scheduler run.
-// Both farm their points over a util/thread_pool.hpp worker pool
+// run_sweep farms its points over a util/thread_pool.hpp worker pool
 // (`workers` knob; 1 = serial, 0 = hardware concurrency) and always
-// return rows in grid order -- every point is a pure function of its
+// returns rows in grid order -- every point is a pure function of its
 // inputs, so the results are identical whatever the worker count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -25,40 +21,6 @@
 #include "util/csv.hpp"
 
 namespace oneport::analysis {
-
-struct FigureConfig {
-  std::string testbed;                          ///< registry name
-  std::vector<int> sizes = {100, 200, 300, 400, 500};
-  double comm_ratio = 10.0;                     ///< the paper's c
-  int chunk_size = 38;                          ///< ILHA's B
-  bool validate = true;  ///< run the one-port validator on every schedule
-  int workers = 0;  ///< experiment parallelism; 0 = hardware concurrency
-};
-
-struct FigureRow {
-  int size = 0;
-  double heft_speedup = 0.0;
-  double ilha_speedup = 0.0;
-  double heft_makespan = 0.0;
-  double ilha_makespan = 0.0;
-  std::size_t heft_comms = 0;
-  std::size_t ilha_comms = 0;
-};
-
-/// Runs the sweep on `platform` (the paper uses make_paper_platform()).
-/// Throws std::logic_error when a produced schedule fails validation.
-[[nodiscard]] std::vector<FigureRow> run_figure(const FigureConfig& config,
-                                                const Platform& platform);
-
-/// Formats rows like the paper's plots: one line per size with both
-/// ratios, message counts and the ILHA/HEFT gain.
-[[nodiscard]] csv::Table figure_table(const std::vector<FigureRow>& rows);
-
-/// Convenience: run + pretty-print with a title.
-void print_figure(std::ostream& os, const std::string& title,
-                  const FigureConfig& config, const Platform& platform);
-
-// ------------------------------------------------- general grid sweeps
 
 /// One (topology, testbed, n, scheduler) cell of a sweep grid.
 struct SweepPoint {
@@ -128,9 +90,9 @@ struct SweepResult {
 
 struct SweepOptions {
   int workers = 0;  ///< 0 = hardware concurrency, 1 = serial
-  /// Validate every schedule under the model implied by the scheduler
-  /// name (one-port for "*-oneport" entries, macro-dataflow otherwise);
-  /// throws std::logic_error on the first violation.
+  /// Validate every schedule under its scheduler's communication model
+  /// (SchedulerEntry::model); throws std::logic_error on the first
+  /// violation.
   bool validate = true;
   /// Run the exact/branch_bound optimality audit on every static point
   /// with at most `audit_max_tasks` tasks (the sweep_cli --audit=gap
@@ -182,5 +144,12 @@ struct SweepOptions {
 
 /// Formats sweep results as one row per grid point.
 [[nodiscard]] csv::Table sweep_table(const std::vector<SweepResult>& rows);
+
+/// Formats a HEFT vs ILHA sweep like the paper's plots: one line per
+/// size with both ratios, makespans, message counts and the ILHA/HEFT
+/// gain.  `rows` must pair up as make_sweep_grid lays out the schedulers
+/// {"heft-oneport", "ilha-oneport"}: each size's HEFT row, then its ILHA
+/// row on the same testbed; throws std::invalid_argument otherwise.
+[[nodiscard]] csv::Table figure_table(const std::vector<SweepResult>& rows);
 
 }  // namespace oneport::analysis

@@ -44,10 +44,8 @@ Schedule cpop(const TaskGraph& graph, const Platform& platform,
   EftEngine engine(graph, platform, options.model, options.routing);
 
   std::vector<TaskId> ready;
-  std::vector<std::size_t> waiting(graph.num_tasks());
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    waiting[v] = graph.in_degree(v);
-    if (waiting[v] == 0) ready.push_back(v);
+    if (engine.ready(v)) ready.push_back(v);
   }
   std::sort(ready.begin(), ready.end(), higher_priority);
 
@@ -60,7 +58,7 @@ Schedule cpop(const TaskGraph& graph, const Platform& platform,
       engine.commit(engine.evaluate_best(v));
     }
     for (const EdgeRef& e : graph.successors(v)) {
-      if (--waiting[e.task] == 0) {
+      if (engine.ready(e.task)) {
         const auto pos = std::lower_bound(ready.begin(), ready.end(), e.task,
                                           higher_priority);
         ready.insert(pos, e.task);

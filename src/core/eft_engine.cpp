@@ -217,31 +217,13 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
       arrival = std::max(arrival, r.finish);
       continue;
     }
-    if (routing_ == nullptr) {
-      // Direct link: one message, no path materialization.
-      const double duration =
-          r.data * link_data_[static_cast<std::size_t>(r.proc) * np_ +
-                              static_cast<std::size_t>(proc)];
-      OP_REQUIRE(std::isfinite(duration),
-                 "no direct link P" << r.proc << "->P" << proc
-                                    << " and no routing table provided");
-      double start = r.finish;
-      if (model_ == Model::kOnePort) {
-        TimelineOverlay& send_ov =
-            overlay_of(send_overlays_, send_epochs_, send_, r.proc);
-        TimelineOverlay& recv_ov =
-            overlay_of(recv_overlays_, recv_epochs_, recv_, proc);
-        start = earliest_joint_fit(send_ov, recv_ov, r.finish, duration);
-        send_ov.add(start, start + duration);
-        recv_ov.add(start, start + duration);
-      }
-      out.comms.push_back({r.task, r.proc, proc, start, start + duration});
-      arrival = std::max(arrival, start + duration);
-      continue;
+    // Each hop is a store-and-forward message; a direct link is the
+    // one-hop route.
+    if (routing_ != nullptr) {
+      routing_->path_into(r.proc, proc, path_scratch_);
+    } else {
+      path_scratch_.assign({r.proc, proc});
     }
-    // Routed path; each hop is a store-and-forward message.
-    path_scratch_.clear();
-    routing_->path_into(r.proc, proc, path_scratch_);
     double cursor = r.finish;
     for (std::size_t h = 0; h + 1 < path_scratch_.size(); ++h) {
       const ProcId a = path_scratch_[h];

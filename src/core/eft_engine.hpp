@@ -32,10 +32,10 @@
 // Lower bounds (fill_bounds).  Take a predecessor u of v on q != p, with
 // finish f_u and data d_u, routed q = a_0 -> a_1 -> ... -> a_k = p with
 // per-item hop costs c_0..c_{k-1}; a direct link is the case k = 1.  Two
-// per-pair lanes, folded once per engine by fold_route_costs (never from
-// RoutingTable::distances(), which from_tables does not check), hold the
-// route cost C = c_0 + ... + c_{k-1} and the last-hop cost c_{k-1};
-// without routing both are the link matrix.  The macro-dataflow bound is
+// per-pair lanes, folded once per engine from the table's next hops and
+// the link matrix by fold_route_costs, hold the route cost
+// C = c_0 + ... + c_{k-1} and the last-hop cost c_{k-1}; without routing
+// both are the link matrix.  The macro-dataflow bound is
 // max_u (f_u + d_u C) plus the execution time.  The one-port bound adds
 // two terms:
 //   * Send-port release.  Hop 0 occupies q's send port for d_u c_0 >=

@@ -62,7 +62,10 @@ Schedule ilha(const TaskGraph& graph, const Platform& platform,
 
   // The ready list is kept sorted with the *highest* priority at the
   // back, so carving off a chunk is a suffix copy plus an O(1) resize
-  // instead of an O(n) front erase per chunk.
+  // instead of an O(n) front erase per chunk.  Readiness is counted
+  // here rather than read from engine.ready(): successors are released
+  // after the whole chunk commits, when a successor of two chunk members
+  // would read ready for both.
   std::vector<TaskId> ready;
   std::vector<std::size_t> waiting(graph.num_tasks());
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
@@ -222,10 +225,8 @@ Schedule reschedule_fixed_allocation(const TaskGraph& graph,
   EftEngine engine(graph, platform, model, routing);
 
   std::vector<TaskId> ready;
-  std::vector<std::size_t> waiting(graph.num_tasks());
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    waiting[v] = graph.in_degree(v);
-    if (waiting[v] == 0) ready.push_back(v);
+    if (engine.ready(v)) ready.push_back(v);
   }
   std::sort(ready.begin(), ready.end(), higher_priority);
 
@@ -240,7 +241,7 @@ Schedule reschedule_fixed_allocation(const TaskGraph& graph,
     engine.evaluate_into(v, allocation[v], scratch);
     engine.commit(scratch);
     for (const EdgeRef& e : graph.successors(v)) {
-      if (--waiting[e.task] == 0) {
+      if (engine.ready(e.task)) {
         const auto pos = std::lower_bound(
             ready.begin() + static_cast<std::ptrdiff_t>(cursor), ready.end(),
             e.task, higher_priority);

@@ -13,10 +13,8 @@ Schedule min_min(const TaskGraph& graph, const Platform& platform,
   EftEngine engine(graph, platform, options.model, options.routing);
 
   std::vector<TaskId> ready;
-  std::vector<std::size_t> waiting(graph.num_tasks());
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    waiting[v] = graph.in_degree(v);
-    if (waiting[v] == 0) ready.push_back(v);
+    if (engine.ready(v)) ready.push_back(v);
   }
 
   while (!ready.empty()) {
@@ -42,7 +40,7 @@ Schedule min_min(const TaskGraph& graph, const Platform& platform,
     const TaskId done = ready[chosen];
     ready.erase(ready.begin() + static_cast<long>(chosen));
     for (const EdgeRef& e : graph.successors(done)) {
-      if (--waiting[e.task] == 0) {
+      if (engine.ready(e.task)) {
         const auto pos = std::lower_bound(ready.begin(), ready.end(), e.task);
         ready.insert(pos, e.task);
       }

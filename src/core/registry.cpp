@@ -14,18 +14,21 @@ std::vector<SchedulerEntry> builtin_schedulers(const SchedulerConfig& config) {
   std::vector<SchedulerEntry> entries;
   entries.push_back(
       {"heft-macro", "HEFT under the macro-dataflow model (unlimited ports)",
+       CommModel::kMacroDataflow,
        [config](const TaskGraph& g, const Platform& p) {
          return heft(g, p, {.model = Model::kMacroDataflow,
                             .routing = config.routing});
        }});
   entries.push_back(
       {"heft-oneport", "HEFT adapted to the bi-directional one-port model",
+       CommModel::kOnePort,
        [config](const TaskGraph& g, const Platform& p) {
          return heft(g, p, {.model = Model::kOnePort,
                             .routing = config.routing});
        }});
   entries.push_back(
       {"ilha-macro", "ILHA under the macro-dataflow model",
+       CommModel::kMacroDataflow,
        [config](const TaskGraph& g, const Platform& p) {
          return ilha(g, p, {.model = Model::kMacroDataflow,
                             .chunk_size = config.ilha_chunk_size,
@@ -33,6 +36,7 @@ std::vector<SchedulerEntry> builtin_schedulers(const SchedulerConfig& config) {
        }});
   entries.push_back(
       {"ilha-oneport", "ILHA adapted to the bi-directional one-port model",
+       CommModel::kOnePort,
        [config](const TaskGraph& g, const Platform& p) {
          return ilha(g, p, {.model = Model::kOnePort,
                             .chunk_size = config.ilha_chunk_size,
@@ -40,42 +44,49 @@ std::vector<SchedulerEntry> builtin_schedulers(const SchedulerConfig& config) {
        }});
   entries.push_back(
       {"minmin-macro", "min-min batch matching, macro-dataflow model",
+       CommModel::kMacroDataflow,
        [config](const TaskGraph& g, const Platform& p) {
          return min_min(g, p, {.model = Model::kMacroDataflow,
                                .routing = config.routing});
        }});
   entries.push_back(
       {"minmin-oneport", "min-min batch matching, one-port model",
+       CommModel::kOnePort,
        [config](const TaskGraph& g, const Platform& p) {
          return min_min(g, p, {.model = Model::kOnePort,
                                .routing = config.routing});
        }});
   entries.push_back(
       {"maxmin-oneport", "max-min batch matching, one-port model",
+       CommModel::kOnePort,
        [config](const TaskGraph& g, const Platform& p) {
          return min_min(g, p, {.model = Model::kOnePort, .max_min = true,
                                .routing = config.routing});
        }});
   entries.push_back(
       {"gdl-macro", "Generalized Dynamic Level (Sih-Lee), macro model",
+       CommModel::kMacroDataflow,
        [config](const TaskGraph& g, const Platform& p) {
          return gdl(g, p, {.model = Model::kMacroDataflow,
                            .routing = config.routing});
        }});
   entries.push_back(
       {"gdl-oneport", "Generalized Dynamic Level (Sih-Lee), one-port model",
+       CommModel::kOnePort,
        [config](const TaskGraph& g, const Platform& p) {
          return gdl(g, p, {.model = Model::kOnePort,
                            .routing = config.routing});
        }});
   entries.push_back(
       {"cpop-macro", "CPOP baseline under the macro-dataflow model",
+       CommModel::kMacroDataflow,
        [config](const TaskGraph& g, const Platform& p) {
          return cpop(g, p, {.model = Model::kMacroDataflow,
                             .routing = config.routing});
        }});
   entries.push_back(
       {"cpop-oneport", "CPOP baseline adapted to the one-port model",
+       CommModel::kOnePort,
        [config](const TaskGraph& g, const Platform& p) {
          return cpop(g, p, {.model = Model::kOnePort,
                             .routing = config.routing});

@@ -9,6 +9,7 @@
 #include "graph/task_graph.hpp"
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
+#include "sched/replay.hpp"
 #include "sched/schedule.hpp"
 
 namespace oneport {
@@ -19,6 +20,9 @@ using SchedulerFn =
 struct SchedulerEntry {
   std::string name;         ///< e.g. "ilha-oneport"
   std::string description;  ///< one-line human description
+  /// The communication rules `run` schedules under -- and so the rules
+  /// its schedules are validated, replayed and rescheduled under.
+  CommModel model = CommModel::kOnePort;
   SchedulerFn run;
 };
 

@@ -9,6 +9,7 @@
 #include "platform/load_balance.hpp"
 #include "platform/routing.hpp"
 #include "sched/interval.hpp"
+#include "sched/replay.hpp"
 #include "sched/timeline.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
@@ -68,18 +69,22 @@ Residual build_residual(const TaskGraph& graph,
   return res;
 }
 
+/// Cycle time presented to the heuristic for dropped processors: large
+/// enough that no work lands there, finite so the heuristic's arithmetic
+/// stays well-defined.
+constexpr double kDropPenalty = 1e9;
+
 /// The platform the heuristic sees: current cycle times, with dropped
 /// processors penalized so no work lands there, links unchanged (the
 /// network keeps relaying; only compute drops out).
-Platform heuristic_platform(const Platform& base, const LoopState& st,
-                            double drop_penalty) {
+Platform heuristic_platform(const Platform& base, const LoopState& st) {
   const int p = base.num_processors();
   std::vector<double> cyc(static_cast<std::size_t>(p));
   for (ProcId q = 0; q < p; ++q) {
     cyc[static_cast<std::size_t>(q)] =
         st.available[static_cast<std::size_t>(q)]
             ? st.cycle[static_cast<std::size_t>(q)]
-            : drop_penalty;
+            : kDropPenalty;
   }
   Matrix<double> link(static_cast<std::size_t>(p),
                       static_cast<std::size_t>(p));
@@ -290,8 +295,7 @@ DynamicResult run_dynamic(const TaskGraph& graph, const Platform& platform,
       old_chains.clear();
       return;
     }
-    const Platform seen = heuristic_platform(platform, st,
-                                             options.drop_penalty);
+    const Platform seen = heuristic_platform(platform, st);
     const Schedule plan = entry.run(res.graph, seen);
 
     std::vector<ProcId> assignment(res.to_orig.size(), -1);
@@ -332,7 +336,7 @@ DynamicResult run_dynamic(const TaskGraph& graph, const Platform& platform,
       if (sa != sb) return sa < sb;
       return a < b;
     });
-    rebuild_suffix(graph, platform, config.routing, options.model, res,
+    rebuild_suffix(graph, platform, config.routing, entry.model, res,
                    assignment, order, now, old_chains, st);
   };
 

@@ -38,21 +38,14 @@
 #include "dynamic/events.hpp"
 #include "graph/task_graph.hpp"
 #include "platform/platform.hpp"
-#include "sched/replay.hpp"
 #include "sched/schedule.hpp"
 
 namespace oneport::dyn {
 
 struct DynamicOptions {
-  /// Communication rules for the rebuilt suffix (and the initial run).
-  CommModel model = CommModel::kOnePort;
   /// Run the load_balance skew-reduction pass on each epoch's suffix
   /// allocation before rebuilding it.
   bool rebalance = false;
-  /// Cycle time presented to the heuristic for dropped processors: large
-  /// enough that no work lands there, finite so the heuristic's
-  /// arithmetic stays well-defined.
-  double drop_penalty = 1e9;
 };
 
 /// State after one epoch of the event loop.  epochs[0] is the initial
@@ -84,12 +77,14 @@ struct DynamicResult {
   [[nodiscard]] double makespan() const { return schedule.makespan(); }
 };
 
-/// Plays `trace` against the schedule the named heuristic produces.
-/// `config.routing`, when set, routes every (re)scheduled chain and must
-/// outlive the call.  The trace is validated first; see events.hpp for
-/// the rules.  Throws std::invalid_argument on malformed input and
-/// std::logic_error if the rebuild ever produces conflicting
-/// reservations (a library bug, caught by the timelines themselves).
+/// Plays `trace` against the schedule the named heuristic produces; the
+/// suffix is rebuilt under the heuristic's own communication model
+/// (SchedulerEntry::model).  `config.routing`, when set, routes every
+/// (re)scheduled chain and must outlive the call.  The trace is validated
+/// first; see events.hpp for the rules.  Throws std::invalid_argument on
+/// malformed input and std::logic_error if the rebuild ever produces
+/// conflicting reservations (a library bug, caught by the timelines
+/// themselves).
 [[nodiscard]] DynamicResult run_dynamic(const TaskGraph& graph,
                                         const Platform& platform,
                                         const std::string& scheduler,

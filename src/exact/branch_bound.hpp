@@ -58,8 +58,7 @@ struct BranchBoundOptions {
   /// (fold_route_costs) instead of Platform::link alone, whose
   /// off-diagonal entries are kNoLink (+inf) for non-adjacent pairs.  The
   /// hop sum is a lower bound on the actual store-and-forward chain time
-  /// -- still sound.  RoutingTable::distances() is not read: from_tables
-  /// does not check it.  A route with a hole or a loop costs +inf.
+  /// -- still sound.  A route with a hole or a loop costs +inf.
   const RoutingTable* routing = nullptr;
 };
 

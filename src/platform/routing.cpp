@@ -81,9 +81,8 @@ const char* routing_policy_name(RoutingPolicy policy) {
   return "?";
 }
 
-RoutingTable::RoutingTable(int p, Matrix<double> dist, Matrix<int> next)
+RoutingTable::RoutingTable(int p, Matrix<int> next)
     : p_(p),
-      dist_(std::move(dist)),
       next_(std::move(next)),
       order_(static_cast<std::size_t>(p), static_cast<std::size_t>(p), -1) {
   // Per destination j, every i != j hangs under its next hop next(i, j),
@@ -168,17 +167,15 @@ RoutingTable RoutingTable::shortest_paths(const Platform& platform) {
                  "network is disconnected: no route P" << i << " -> P" << j);
     }
   }
-  return RoutingTable(p, std::move(dist), std::move(next));
+  return RoutingTable(p, std::move(next));
 }
 
-RoutingTable RoutingTable::from_tables(int p, Matrix<double> dist,
-                                       Matrix<int> next) {
+RoutingTable RoutingTable::from_tables(int p, Matrix<int> next) {
   const auto n = static_cast<std::size_t>(p);
   OP_REQUIRE(p > 0, "need at least one processor");
-  OP_REQUIRE(dist.rows() == n && dist.cols() == n && next.rows() == n &&
-                 next.cols() == n,
+  OP_REQUIRE(next.rows() == n && next.cols() == n,
              "table shape does not match the processor count");
-  return RoutingTable(p, std::move(dist), std::move(next));
+  return RoutingTable(p, std::move(next));
 }
 
 std::vector<ProcId> RoutingTable::path(ProcId from, ProcId to) const {
@@ -204,20 +201,6 @@ void RoutingTable::path_into(ProcId from, ProcId to,
     OP_ASSERT(cur >= 0, "routing table has a hole");
     out.push_back(cur);
   }
-}
-
-bool RoutingTable::direct(ProcId from, ProcId to) const {
-  OP_REQUIRE(from >= 0 && from < p_ && to >= 0 && to < p_,
-             "processor out of range");
-  if (from == to) return true;
-  return next_(static_cast<std::size_t>(from), static_cast<std::size_t>(to)) ==
-         to;
-}
-
-double RoutingTable::distance(ProcId from, ProcId to) const {
-  OP_REQUIRE(from >= 0 && from < p_ && to >= 0 && to < p_,
-             "processor out of range");
-  return dist_(static_cast<std::size_t>(from), static_cast<std::size_t>(to));
 }
 
 RouteCosts fold_route_costs(const RoutingTable& routing,
@@ -340,41 +323,26 @@ RoutedPlatform make_random_connected_platform(std::vector<double> cycle_times,
 namespace {
 
 /// Node-count ceiling for the parameterized structured topologies.  The
-/// link/next/dist tables are all p x p, so the footprint grows with the
-/// SQUARE of the node count: 2048 nodes ~ 80 MB of tables, which is the
-/// most a sweep axis can reasonably want; "mesh9999x9999" must fail
-/// fast with this error instead of dying in a ~2 TB allocation.
+/// link, next-hop and route-order tables are all p x p, so the footprint
+/// grows with the SQUARE of the node count: 2048 nodes ~ 64 MB of tables,
+/// which is the most a sweep axis can reasonably want; "mesh9999x9999"
+/// must fail fast with this error instead of dying in a ~2 TB allocation.
 constexpr long long kMaxTopologyNodes = 2048;
 
-/// Per-item distance for every pair obtained by *walking* the next-hop
-/// table over the platform's direct links.  Computing dist from the hop
-/// chain (rather than independently) keeps the table self-consistent by
-/// construction for any routing policy, so the hop-by-hop invariant
-/// checkers and the distance-based finish lower bound agree exactly.
-Matrix<double> dist_from_next(const Platform& platform,
-                              const Matrix<int>& next) {
-  const int p = platform.num_processors();
-  const auto n = static_cast<std::size_t>(p);
-  Matrix<double> dist(n, n, 0.0);
-  for (int i = 0; i < p; ++i) {
-    for (int j = 0; j < p; ++j) {
-      double cost = 0.0;
-      int cur = i;
-      int hops = 0;
-      while (cur != j) {
-        OP_ASSERT(++hops < p, "routing loop while building distances");
-        const int nxt =
-            next(static_cast<std::size_t>(cur), static_cast<std::size_t>(j));
-        OP_ASSERT(nxt >= 0 && nxt < p, "next-hop table has a hole");
-        const double hop = platform.link(cur, nxt);
-        OP_ASSERT(std::isfinite(hop), "routed hop crosses a missing link");
-        cost += hop;
-        cur = nxt;
-      }
-      dist(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = cost;
-    }
-  }
-  return dist;
+/// Wraps a structural policy's next-hop table and checks it with one
+/// fold over the platform's links: every route must end at its
+/// destination and cross only existing links, so every route cost comes
+/// out finite.  A failure is a bug in the builder, not in its input.
+RoutingTable checked_structural_table(const Platform& platform,
+                                      Matrix<int> next) {
+  RoutingTable routing =
+      RoutingTable::from_tables(platform.num_processors(), std::move(next));
+  const Matrix<double> route = fold_route_costs(routing, platform).route;
+  OP_ASSERT(std::all_of(route.data(),
+                        route.data() + route.rows() * route.cols(),
+                        [](double c) { return std::isfinite(c); }),
+            "structural routing table has a hole, a loop or a missing link");
+  return routing;
 }
 
 struct TopologyDims {
@@ -691,9 +659,7 @@ RoutedPlatform make_mesh2d_platform(std::vector<double> cycle_times, int rows,
     }
   }
 
-  Matrix<double> dist = dist_from_next(platform, next);
-  RoutingTable routing = RoutingTable::from_tables(
-      static_cast<int>(nodes), std::move(dist), std::move(next));
+  RoutingTable routing = checked_structural_table(platform, std::move(next));
   return {std::move(platform), std::move(routing)};
 }
 
@@ -787,9 +753,7 @@ RoutedPlatform make_fat_tree_platform(std::vector<double> cycle_times,
   }
 
   Platform platform(std::move(cycle_times), std::move(m));
-  Matrix<double> dist = dist_from_next(platform, next);
-  RoutingTable routing =
-      RoutingTable::from_tables(p, std::move(dist), std::move(next));
+  RoutingTable routing = checked_structural_table(platform, std::move(next));
   return {std::move(platform), std::move(routing)};
 }
 

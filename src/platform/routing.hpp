@@ -108,18 +108,14 @@ class RoutingTable {
   /// depend on floating-point accumulation order.
   static RoutingTable shortest_paths(const Platform& platform);
 
-  /// Unchecked construction from precomputed tables -- for externally
-  /// supplied routing policies and for tests that need to exercise the
-  /// defensive checks.  `dist(i,j)` is the per-item cost and `next(i,j)`
-  /// the first hop from i toward j (with next(i,i) == i).  Nothing is
-  /// validated here; path_into() throws on holes and routing loops.
-  /// `dist` is reported by distance() but trusted by no scheduler or
-  /// bound: the EFT engine and the branch-and-bound search derive every
-  /// route's cost from `next` and the platform's link matrix
-  /// (fold_route_costs), so a `dist` that disagrees with the hop sums
-  /// cannot make their bounds unsound.
-  static RoutingTable from_tables(int p, Matrix<double> dist,
-                                  Matrix<int> next);
+  /// Unchecked construction from a precomputed next-hop table -- for
+  /// externally supplied routing policies and for tests that need to
+  /// exercise the defensive checks.  `next(i,j)` is the first hop from i
+  /// toward j (with next(i,i) == i).  Nothing is validated here;
+  /// path_into() throws on holes and routing loops.  A route's cost is
+  /// never stored: it is the sum of its hops' link costs in whichever
+  /// platform the table is used with (fold_route_costs).
+  static RoutingTable from_tables(int p, Matrix<int> next);
 
   /// Full processor path from `from` to `to`, both endpoints included
   /// (so path(q, q) == {q} and adjacent pairs give {q, r}).
@@ -129,21 +125,7 @@ class RoutingTable {
   /// path, recycling the vector's capacity across calls.
   void path_into(ProcId from, ProcId to, std::vector<ProcId>& out) const;
 
-  /// True when the direct link is the routed path (single hop).
-  [[nodiscard]] bool direct(ProcId from, ProcId to) const;
-
-  /// End-to-end per-data-item cost along the routed path (the sum of hop
-  /// link costs; a lower bound on the actual transfer latency since hops
-  /// are store-and-forward).
-  [[nodiscard]] double distance(ProcId from, ProcId to) const;
-
   [[nodiscard]] int num_processors() const noexcept { return p_; }
-
-  /// The full p x p per-item distance table, for hot loops that validate
-  /// processor ids once and then read rows unchecked via Matrix::data().
-  [[nodiscard]] const Matrix<double>& distances() const noexcept {
-    return dist_;
-  }
 
   /// The next-hop table as given: next_hops()(i, j) is the first hop
   /// from i toward j.  from_tables does not check it, so only the pairs
@@ -164,20 +146,21 @@ class RoutingTable {
   }
 
  private:
-  RoutingTable(int p, Matrix<double> dist, Matrix<int> next);
+  RoutingTable(int p, Matrix<int> next);
 
   int p_ = 0;
-  Matrix<double> dist_;  // shortest per-item cost
-  Matrix<int> next_;     // next hop on the shortest path
-  Matrix<int> order_;    // per destination: well-formed sources, BFS order
+  Matrix<int> next_;   // next hop toward each destination
+  Matrix<int> order_;  // per destination: well-formed sources, BFS order
 };
 
 /// Per-item route costs derived from a table's next hops and a
-/// platform's link matrix, never from RoutingTable::distances(), which
-/// from_tables does not check.  Both are p x p: `route(i, j)` is the sum
-/// of the hop costs from i to j, `last_hop(i, j)` the cost of the last
-/// hop, into j.  A pair whose route has a hole or a loop keeps +inf in
-/// both; the diagonal is 0.
+/// platform's link matrix -- the only record of what a route costs.
+/// Both are p x p: `route(i, j)` is the sum of the hop costs from i to j
+/// (a lower bound on the store-and-forward transfer latency), and
+/// `last_hop(i, j)` the cost of the last hop, into j.  A pair whose
+/// route has a hole or a loop keeps +inf in both, one whose route
+/// crosses a missing link sums to +inf in `route`, and the diagonal is
+/// 0.
 struct RouteCosts {
   Matrix<double> last_hop;
   Matrix<double> route;
@@ -227,9 +210,8 @@ struct RoutedPlatform {
 /// dimension 1 -- and `policy` picks the next-hop construction
 /// (kDimensionOrdered, kAlternating, or kWeightedShortest; kUpDown is
 /// rejected).  The structural policies express the table through
-/// RoutingTable::from_tables with distances derived by walking the hop
-/// chain over the actual link costs, so the hop-by-hop invariant
-/// checkers apply to every policy unchanged.  Requires
+/// RoutingTable::from_tables and check it with one fold over the link
+/// costs: every route must come out finite.  Requires
 /// cycle_times.size() == rows * cols.
 [[nodiscard]] RoutedPlatform make_mesh2d_platform(
     std::vector<double> cycle_times, int rows, int cols, bool wrap,

@@ -14,7 +14,7 @@ namespace {
 //   {"NAME", "default", "consumer", "summary"},
 constexpr std::array<KnobInfo, kNumKnobs> kCatalog = {{
     {"ONEPORT_PROFILE", "0", "src/util/profiler.cpp", "enable the per-thread scalability profiler (counters surface in bench JSON and sweep_cli --json)"},
-    {"ONEPORT_WORKERS", "hardware", "src/util/thread_pool.hpp", "default thread-pool width for run_figure/run_sweep (0 or unset = hardware concurrency)"},
+    {"ONEPORT_WORKERS", "hardware", "src/util/thread_pool.hpp", "default thread-pool width for run_sweep (0 or unset = hardware concurrency)"},
     {"ONEPORT_SWEEP_SEEDS", "0", "tests/property_sweep_test.cpp", "extra seeded property-sweep repetitions for CI/nightly deepening"},
     {"ONEPORT_SERVICE_SHARDS", "hardware", "src/service/scheduler_service.cpp", "scheduler-service shard workers, each owning a routed-platform cache shard (0 or unset = hardware concurrency)"},
     {"ONEPORT_SERVICE_QUEUE_DEPTH", "256", "src/service/scheduler_service.cpp", "bound on the scheduler-service request queue; a full queue engages the backpressure policy"},

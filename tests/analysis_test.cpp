@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "analysis/gantt.hpp"
@@ -87,28 +89,35 @@ TEST(Gantt, SvgContainsRectangles) {
   EXPECT_NE(out.find("</svg>"), std::string::npos);
 }
 
-TEST(Experiment, RunFigureProducesValidatedRows) {
-  FigureConfig config;
-  config.testbed = "LAPLACE";
-  config.sizes = {6, 10};
-  config.chunk_size = 38;
+TEST(Experiment, FigureTablePairsHeftWithIlhaFromRunSweep) {
   const Platform platform = make_paper_platform();
-  const std::vector<FigureRow> rows = run_figure(config, platform);
-  ASSERT_EQ(rows.size(), 2u);
-  for (const FigureRow& r : rows) {
-    EXPECT_GT(r.heft_speedup, 0.0);
-    EXPECT_GT(r.ilha_speedup, 0.0);
-    EXPECT_GT(r.heft_makespan, 0.0);
+  const std::vector<SweepResult> rows = run_sweep(
+      make_sweep_grid({"LAPLACE"}, {6, 10}, {"heft-oneport", "ilha-oneport"},
+                      testbeds::kPaperCommRatio, 38),
+      platform);
+  ASSERT_EQ(rows.size(), 4u);
+  const csv::Table table = figure_table(rows);
+  ASSERT_EQ(table.num_rows(), 2u);
+  EXPECT_EQ(table.rows()[0][0], "6");
+  EXPECT_EQ(table.rows()[1][0], "10");
+  for (const SweepResult& r : rows) {
+    EXPECT_GT(r.speedup, 0.0) << r.point.scheduler;
+    EXPECT_GT(r.makespan, 0.0) << r.point.scheduler;
   }
-  EXPECT_EQ(rows[0].size, 6);
-  EXPECT_EQ(rows[1].size, 10);
+  // Rows that do not pair up -- an odd count, ILHA before HEFT, or two
+  // sizes in one pair -- are rejected rather than misprinted.
+  EXPECT_THROW((void)figure_table({rows[0], rows[1], rows[2]}),
+               std::invalid_argument);
+  EXPECT_THROW((void)figure_table({rows[1], rows[0]}), std::invalid_argument);
+  EXPECT_THROW((void)figure_table({rows[0], rows[3]}), std::invalid_argument);
 }
 
-TEST(Experiment, FigureTableFormatsRows) {
-  std::vector<FigureRow> rows(1);
-  rows[0].size = 100;
-  rows[0].heft_speedup = 4.0;
-  rows[0].ilha_speedup = 4.4;
+TEST(Experiment, FigureTableReportsIlhaGain) {
+  std::vector<SweepResult> rows(2);
+  rows[0].point.scheduler = "heft-oneport";
+  rows[0].speedup = 4.0;
+  rows[1].point.scheduler = "ilha-oneport";
+  rows[1].speedup = 4.4;
   const csv::Table table = figure_table(rows);
   EXPECT_EQ(table.num_rows(), 1u);
   // 10% gain column.
@@ -116,10 +125,10 @@ TEST(Experiment, FigureTableFormatsRows) {
 }
 
 TEST(Experiment, UnknownTestbedThrows) {
-  FigureConfig config;
-  config.testbed = "BOGUS";
-  EXPECT_THROW(run_figure(config, make_paper_platform()),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_sweep(make_sweep_grid({"BOGUS"}, {6}, {"heft-oneport"}),
+                      make_paper_platform()),
+      std::invalid_argument);
 }
 
 TEST(Experiment, RebalanceIsAGridAxis) {

@@ -23,7 +23,6 @@ namespace oneport {
 namespace {
 
 using namespace testsupport;
-using dyn::DynamicOptions;
 using dyn::DynamicResult;
 using dyn::EventKind;
 using dyn::EventTrace;
@@ -33,12 +32,6 @@ std::string joined(const std::vector<std::string>& errors) {
   std::string out;
   for (const std::string& e : errors) out += e + "\n";
   return out;
-}
-
-CommModel model_of(const std::string& scheduler) {
-  return scheduler.find("oneport") != std::string::npos
-             ? CommModel::kOnePort
-             : CommModel::kMacroDataflow;
 }
 
 /// Plays the named preset trace for (scenario, scheduler) and returns
@@ -56,11 +49,8 @@ DynamicResult run_named(const Scenario& scenario,
   const EventTrace trace = dyn::make_named_trace(
       trace_name, scenario.graph, scenario.platform, initial,
       scenario.seed);
-  DynamicOptions options;
-  options.model = model_of(scheduler);
-  options.rebalance = rebalance;
   return dyn::run_dynamic(scenario.graph, scenario.platform, scheduler,
-                          config, trace, options);
+                          config, trace, {.rebalance = rebalance});
 }
 
 void expect_invariants(const Scenario& scenario,
@@ -69,23 +59,19 @@ void expect_invariants(const Scenario& scenario,
                        bool rebalance = false) {
   SchedulerConfig config;
   config.routing = scenario.routing_ptr();
-  const Schedule initial =
-      find_scheduler(scheduler, config).run(scenario.graph,
-                                            scenario.platform);
+  const SchedulerEntry entry = find_scheduler(scheduler, config);
+  const Schedule initial = entry.run(scenario.graph, scenario.platform);
   DynamicScenario dynamic;
   dynamic.base = &scenario;
-  dynamic.model = model_of(scheduler);
+  dynamic.model = entry.model;
   dynamic.trace = dyn::make_named_trace(trace_name, scenario.graph,
                                         scenario.platform, initial,
                                         scenario.seed);
   dynamic.description =
       scenario.description + "/" + scheduler + "/" + trace_name;
-  DynamicOptions options;
-  options.model = dynamic.model;
-  options.rebalance = rebalance;
   const DynamicResult result =
       dyn::run_dynamic(scenario.graph, scenario.platform, scheduler,
-                       config, dynamic.trace, options);
+                       config, dynamic.trace, {.rebalance = rebalance});
   const std::vector<std::string> violations =
       check_all_dynamic_invariants(dynamic, result);
   EXPECT_TRUE(violations.empty()) << joined(violations);
@@ -152,11 +138,8 @@ TEST(Dynamic, EmptyTraceReproducesTheStaticScheduleBitForBit) {
     for (const SchedulerEntry& entry : builtin_schedulers(config)) {
       const Schedule expected =
           entry.run(scenario.graph, scenario.platform);
-      DynamicOptions options;
-      options.model = model_of(entry.name);
       const DynamicResult result = dyn::run_dynamic(
-          scenario.graph, scenario.platform, entry.name, config, {},
-          options);
+          scenario.graph, scenario.platform, entry.name, config, {});
       ASSERT_EQ(result.epochs.size(), 1u);
       EXPECT_EQ(result.schedule.tasks(), expected.tasks())
           << scenario.description << "/" << entry.name;

@@ -216,52 +216,6 @@ TEST(EftEngineExactPruning, MatchesExhaustiveScanOnDirectLinks) {
   }
 }
 
-/// A from_tables copy of `routed` whose routes are unchanged but whose
-/// distance between non-adjacent processors is `factor` times the hop
-/// sum -- a table from_tables accepts, since it checks nothing.
-RoutingTable inflate_routed_distances(const RoutedPlatform& routed,
-                                      double factor) {
-  const int p = routed.platform.num_processors();
-  Matrix<double> dist = routed.routing.distances();
-  for (ProcId i = 0; i < p; ++i) {
-    for (ProcId j = 0; j < p; ++j) {
-      if (!routed.routing.direct(i, j)) {
-        dist(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) *=
-            factor;
-      }
-    }
-  }
-  return RoutingTable::from_tables(p, std::move(dist),
-                                   routed.routing.next_hops());
-}
-
-// The engine's bounds come from the next-hop table and the link matrix,
-// never from the table's distances: a from_tables copy whose routed
-// distances overstate the hop sums threefold must not prune a candidate
-// that the exhaustive scan picks.
-TEST(EftEngineExactPruning, IgnoresInconsistentTableDistances) {
-  const std::vector<double> cycles = make_paper_platform().cycle_times();
-  for (const EftEngine::Model model :
-       {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
-    ScanTally total;
-    for (const char* topology : {"mesh3x3", "ring"}) {
-      const RoutedPlatform routed = make_topology_platform(topology, cycles);
-      const RoutingTable inflated = inflate_routed_distances(routed, 3.0);
-      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        const ScanTally tally = compare_with_exhaustive_scan(
-            testsupport::random_graph(seed), routed.platform, model,
-            &inflated);
-        total.decisions += tally.decisions;
-        total.differing += tally.differing;
-      }
-    }
-    EXPECT_EQ(total.differing, 0u)
-        << "of " << total.decisions << " decisions, "
-        << (model == EftEngine::Model::kOnePort ? "one-port"
-                                                : "macro-dataflow");
-  }
-}
-
 // A table with a routing loop and a hole still builds, and so does an
 // engine over it; only walking a broken route raises, as path_into does.
 TEST(EftEngineExactPruning, BrokenTableBuildsAndThrowsOnlyOnUse) {
@@ -271,8 +225,7 @@ TEST(EftEngineExactPruning, BrokenTableBuildsAndThrowsOnlyOnUse) {
   next(1, 2) = 0;
   next(3, 1) = -1;  // hole
   std::optional<RoutingTable> broken;
-  ASSERT_NO_THROW(broken = RoutingTable::from_tables(
-                      4, ring.routing.distances(), std::move(next)));
+  ASSERT_NO_THROW(broken = RoutingTable::from_tables(4, std::move(next)));
   std::vector<ProcId> out;
   EXPECT_THROW(broken->path_into(0, 2, out), std::logic_error);
   EXPECT_THROW(broken->path_into(3, 1, out), std::logic_error);

@@ -476,24 +476,20 @@ TEST(BranchBoundSoundness, RoutedScenariosUseRoutedDistances) {
   }
 }
 
-TEST(BranchBoundSoundness, IgnoresUncheckedTableDistances) {
-  // from_tables checks neither table.  Here `dist` claims 100 per item
-  // between two processors whose direct link costs 1, so a bound read
-  // from distances() (21, "proven optimal") would exceed the 12 that
-  // heft-oneport reaches: a on P0, b after it, c on P1 once a's message
-  // arrives at 2.  The search must cost the route from its hops.
+TEST(BranchBoundSoundness, CostsUncheckedTableRoutesFromTheirHops) {
+  // from_tables checks nothing, so the search must cost a route from its
+  // hops' links in the platform at hand: the one link costs 1 per item,
+  // and the bound must equal the 12 that heft-oneport reaches (a on P0,
+  // b after it, c on P1 once a's message arrives at 2).
   TaskGraph g;
   const TaskId a = g.add_task(1.0);
   g.add_edge(a, g.add_task(10.0), 1.0);
   g.add_edge(a, g.add_task(10.0), 1.0);
   g.finalize();
   const Platform platform = make_homogeneous_platform(2);
-  Matrix<double> dist(2, 2, 100.0);
-  dist(0, 0) = dist(1, 1) = 0.0;
   Matrix<int> next(2, 2, 0);
   next(0, 1) = next(1, 1) = 1;
-  const RoutingTable table =
-      RoutingTable::from_tables(2, std::move(dist), std::move(next));
+  const RoutingTable table = RoutingTable::from_tables(2, std::move(next));
   BranchBoundOptions options;
   options.routing = &table;
   const BranchBoundResult bb = branch_bound_lower_bound(g, platform, options);

@@ -30,8 +30,7 @@ TEST_P(SchedulerTestbedMatrix, ProducesValidSchedules) {
   const Schedule schedule = scheduler.run(graph, platform);
   ASSERT_TRUE(schedule.complete());
 
-  const bool one_port =
-      scheduler_name.find("oneport") != std::string::npos;
+  const bool one_port = scheduler.model == CommModel::kOnePort;
   const ValidationResult check =
       one_port ? validate_one_port(schedule, graph, platform)
                : validate_macro_dataflow(schedule, graph, platform);

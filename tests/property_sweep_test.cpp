@@ -32,14 +32,6 @@ namespace {
 using testsupport::Scenario;
 using testsupport::check_all_invariants;
 
-/// The registry names one-port variants "<name>-oneport"; everything else
-/// is scheduled (and must be validated) under the macro-dataflow rules.
-CommModel model_of(const SchedulerEntry& entry) {
-  return entry.name.find("oneport") != std::string::npos
-             ? CommModel::kOnePort
-             : CommModel::kMacroDataflow;
-}
-
 // A small chunk size exercises ILHA's load-balancing quota far more
 // than the paper's default of 38 on these small DAGs.  The registry is
 // rebuilt per scenario so routed scenarios thread their RoutingTable to
@@ -54,7 +46,7 @@ void sweep_scenario(const Scenario& scenario) {
     SCOPED_TRACE(scenario.description + " scheduler=" + entry.name);
     const Schedule schedule = entry.run(scenario.graph, scenario.platform);
     const std::vector<std::string> violations =
-        check_all_invariants(scenario, schedule, model_of(entry));
+        check_all_invariants(scenario, schedule, entry.model);
     for (const std::string& v : violations) ADD_FAILURE() << v;
   }
 }

@@ -51,10 +51,10 @@ TEST_P(RandomWorkloadTest, AllSchedulersProduceValidSchedules) {
   for (const SchedulerEntry& entry : builtin_schedulers(/*chunk=*/9)) {
     const Schedule schedule = entry.run(graph, platform);
     ASSERT_TRUE(schedule.complete()) << entry.name;
-    const bool one_port = entry.name.find("oneport") != std::string::npos;
     const ValidationResult check =
-        one_port ? validate_one_port(schedule, graph, platform)
-                 : validate_macro_dataflow(schedule, graph, platform);
+        entry.model == CommModel::kOnePort
+            ? validate_one_port(schedule, graph, platform)
+            : validate_macro_dataflow(schedule, graph, platform);
     ASSERT_TRUE(check.ok()) << entry.name << " seed=" << seed << "\n"
                             << check.message();
   }

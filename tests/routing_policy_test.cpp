@@ -27,6 +27,13 @@ std::vector<double> unit_cycles(int n) {
   return std::vector<double>(static_cast<std::size_t>(n), 1.0);
 }
 
+/// Per-item cost of the route from q to r, folded from the table's next
+/// hops and the platform's links.
+double route_cost(const RoutedPlatform& routed, ProcId q, ProcId r) {
+  return fold_route_costs(routed.routing, routed.platform)
+      .route(static_cast<std::size_t>(q), static_cast<std::size_t>(r));
+}
+
 // ---------------------------------------------------------------------
 // Link-cost generators.
 
@@ -88,9 +95,9 @@ TEST(LinkCostGenerators, AnisotropyPricesColumnLinks) {
   EXPECT_DOUBLE_EQ(mesh.platform.link(0, 3), 3.0);
   EXPECT_DOUBLE_EQ(mesh.platform.link(4, 5), 1.0);
   EXPECT_DOUBLE_EQ(mesh.platform.link(4, 7), 3.0);
-  // XY distances walk the actual link costs: 0 -> 4 is one row link plus
+  // XY route costs sum the actual link costs: 0 -> 4 is one row link plus
   // one column link whatever the order.
-  EXPECT_DOUBLE_EQ(mesh.routing.distance(0, 4), 4.0);
+  EXPECT_DOUBLE_EQ(route_cost(mesh, 0, 4), 4.0);
 }
 
 TEST(LinkCostGenerators, ComposeAppliesLeftToRight) {
@@ -136,16 +143,16 @@ TEST(RoutingPolicies, WeightedShortestRoutesAroundExpensiveLink) {
     }
   }
   EXPECT_EQ(xy.routing.path(0, 2), (std::vector<ProcId>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(xy.routing.distance(0, 2), 11.0);
+  EXPECT_DOUBLE_EQ(route_cost(xy, 0, 2), 11.0);
   // The cheap detour: ties broken fewer-hops-then-smallest-next-hop.
   EXPECT_EQ(swp.routing.path(0, 2), (std::vector<ProcId>{0, 1, 4, 5, 2}));
-  EXPECT_DOUBLE_EQ(swp.routing.distance(0, 2), 4.0);
+  EXPECT_DOUBLE_EQ(route_cost(swp, 0, 2), 4.0);
   EXPECT_EQ(swp.routing.path(1, 2), (std::vector<ProcId>{1, 4, 5, 2}));
-  EXPECT_DOUBLE_EQ(swp.routing.distance(1, 2), 3.0);
+  EXPECT_DOUBLE_EQ(route_cost(swp, 1, 2), 3.0);
   // swp never pays more than the dimension-ordered walk.
   for (ProcId q = 0; q < 9; ++q) {
     for (ProcId r = 0; r < 9; ++r) {
-      EXPECT_LE(swp.routing.distance(q, r), xy.routing.distance(q, r));
+      EXPECT_LE(route_cost(swp, q, r), route_cost(xy, q, r));
     }
   }
 }
@@ -172,7 +179,7 @@ TEST(RoutingPolicies, AlternatingSpreadsDimensionOrderByParity) {
       EXPECT_EQ(alt.routing.path(q, r).size(),
                 static_cast<std::size_t>(manhattan) + 1u)
           << "P" << q << " -> P" << r;
-      EXPECT_DOUBLE_EQ(alt.routing.distance(q, r),
+      EXPECT_DOUBLE_EQ(route_cost(alt, q, r),
                        static_cast<double>(manhattan));
     }
   }
@@ -205,7 +212,7 @@ TEST(RoutingPolicies, PolicyShapeMismatchesAreRejected) {
 
 TEST(RoutingPolicies, SwpOnFatTreeMatchesUpDownPaths) {
   // A tree has one simple path per pair: the cost-aware table must pick
-  // exactly the up-down hops (with bit-equal walked distances), just
+  // exactly the up-down hops (with bit-equal route costs), just
   // through the Floyd-Warshall construction.
   const RoutedPlatform updown =
       make_fat_tree_platform(unit_cycles(7), 2, 2, 2.0, 1.0);
@@ -215,7 +222,7 @@ TEST(RoutingPolicies, SwpOnFatTreeMatchesUpDownPaths) {
   for (ProcId q = 0; q < 7; ++q) {
     for (ProcId r = 0; r < 7; ++r) {
       EXPECT_EQ(updown.routing.path(q, r), swp.routing.path(q, r));
-      EXPECT_EQ(updown.routing.distance(q, r), swp.routing.distance(q, r));
+      EXPECT_EQ(route_cost(updown, q, r), route_cost(swp, q, r));
     }
   }
 }
@@ -290,7 +297,7 @@ TEST(TopologyNameGrammar, SeedDistinguishesHeterogeneousInstances) {
 
 // Golden-route regression (ISSUE-5): on the seeded heterogeneous mesh
 // the cost-aware policy provably deviates from XY -- pinned hop
-// sequences and distances, and the same physical platform under both
+// sequences and route costs, and the same physical platform under both
 // policies.
 TEST(TopologyNameGrammar, GoldenHetMeshSwpDeviatesFromXY) {
   const std::vector<double> cycles = unit_cycles(9);
@@ -301,19 +308,18 @@ TEST(TopologyNameGrammar, GoldenHetMeshSwpDeviatesFromXY) {
   for (ProcId q = 0; q < 9; ++q) {
     for (ProcId r = 0; r < 9; ++r) {
       EXPECT_EQ(xy.platform.link(q, r), swp.platform.link(q, r));
-      EXPECT_LE(swp.routing.distance(q, r),
-                xy.routing.distance(q, r) + 1e-12);
+      EXPECT_LE(route_cost(swp, q, r), route_cost(xy, q, r) + 1e-12);
     }
   }
   // XY walks the dimension-ordered staircase; swp takes the column
   // first because this seed priced link 0-1 high and 0-3 low.
   EXPECT_EQ(xy.routing.path(0, 4), (std::vector<ProcId>{0, 1, 4}));
   EXPECT_EQ(swp.routing.path(0, 4), (std::vector<ProcId>{0, 3, 4}));
-  EXPECT_NEAR(xy.routing.distance(0, 4), 2.8480863420577505, 1e-9);
-  EXPECT_NEAR(swp.routing.distance(0, 4), 0.61125481827767802, 1e-9);
+  EXPECT_NEAR(route_cost(xy, 0, 4), 2.8480863420577505, 1e-9);
+  EXPECT_NEAR(route_cost(swp, 0, 4), 0.61125481827767802, 1e-9);
   EXPECT_EQ(xy.routing.path(3, 1), (std::vector<ProcId>{3, 4, 1}));
   EXPECT_EQ(swp.routing.path(3, 1), (std::vector<ProcId>{3, 0, 1}));
-  EXPECT_NEAR(swp.routing.distance(3, 1), 1.5819345773807185, 1e-9);
+  EXPECT_NEAR(route_cost(swp, 3, 1), 1.5819345773807185, 1e-9);
 }
 
 // ---------------------------------------------------------------------
@@ -340,15 +346,14 @@ TEST(SharedTopologyCache, PolicyAndHetKeysNeverAlias) {
   }
   // Same suffixed name + seed still hits the cache ...
   EXPECT_EQ(het_swp.get(), cache.get("mesh3x3:het0.5:swp", cycles).get());
-  // ... and the cached instance is bit-equal to a fresh build.
+  // ... and the cached instance is bit-equal to a fresh build (equal
+  // paths over equal links cost the same).
   const RoutedPlatform fresh =
       make_topology_platform("mesh3x3:het0.5:swp", cycles, 1.0, 1);
   for (ProcId q = 0; q < 9; ++q) {
     for (ProcId r = 0; r < 9; ++r) {
       EXPECT_EQ(het_swp->platform.link(q, r), fresh.platform.link(q, r));
       EXPECT_EQ(het_swp->routing.path(q, r), fresh.routing.path(q, r));
-      EXPECT_EQ(het_swp->routing.distance(q, r),
-                fresh.routing.distance(q, r));
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/topology_cache.hpp"
 #include "core/heft.hpp"
@@ -14,23 +16,35 @@
 namespace oneport {
 namespace {
 
+/// Per-item cost of the route from q to r, folded from the table's next
+/// hops and the platform's links -- the only record of a route's cost.
+double route_cost(const RoutingTable& routing, const Platform& platform,
+                  ProcId q, ProcId r) {
+  return fold_route_costs(routing, platform)
+      .route(static_cast<std::size_t>(q), static_cast<std::size_t>(r));
+}
+
+double route_cost(const RoutedPlatform& routed, ProcId q, ProcId r) {
+  return route_cost(routed.routing, routed.platform, q, r);
+}
+
 TEST(RoutingTable, RingPaths) {
   const RoutedPlatform ring = make_ring_platform({1, 1, 1, 1, 1}, 2.0);
-  EXPECT_TRUE(ring.routing.direct(0, 1));
-  EXPECT_TRUE(ring.routing.direct(0, 4));  // wrap-around neighbour
-  EXPECT_FALSE(ring.routing.direct(0, 2));
+  EXPECT_EQ(ring.routing.path(0, 1).size(), 2u);
+  EXPECT_EQ(ring.routing.path(0, 4).size(), 2u);  // wrap-around neighbour
+  EXPECT_EQ(ring.routing.path(0, 2).size(), 3u);
   EXPECT_EQ(ring.routing.path(0, 2), (std::vector<ProcId>{0, 1, 2}));
   EXPECT_EQ(ring.routing.path(0, 3), (std::vector<ProcId>{0, 4, 3}));
   EXPECT_EQ(ring.routing.path(2, 2), (std::vector<ProcId>{2}));
-  EXPECT_DOUBLE_EQ(ring.routing.distance(0, 2), 4.0);
-  EXPECT_DOUBLE_EQ(ring.routing.distance(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(route_cost(ring, 0, 2), 4.0);
+  EXPECT_DOUBLE_EQ(route_cost(ring, 0, 0), 0.0);
 }
 
 TEST(RoutingTable, StarRoutesThroughHub) {
   const RoutedPlatform star = make_star_platform({1, 1, 1, 1}, 1.0);
   EXPECT_EQ(star.routing.path(1, 3), (std::vector<ProcId>{1, 0, 3}));
   EXPECT_EQ(star.routing.path(0, 2), (std::vector<ProcId>{0, 2}));
-  EXPECT_DOUBLE_EQ(star.routing.distance(1, 3), 2.0);
+  EXPECT_DOUBLE_EQ(route_cost(star, 1, 3), 2.0);
 }
 
 TEST(RoutingTable, DisconnectedNetworkRejected) {
@@ -45,10 +59,10 @@ TEST(RoutingTable, LineAndTwoNodePaths) {
   const RoutedPlatform line = make_line_platform({1, 1, 1, 1}, 1.0);
   EXPECT_EQ(line.routing.path(0, 3), (std::vector<ProcId>{0, 1, 2, 3}));
   EXPECT_EQ(line.routing.path(3, 1), (std::vector<ProcId>{3, 2, 1}));
-  EXPECT_DOUBLE_EQ(line.routing.distance(0, 3), 3.0);
+  EXPECT_DOUBLE_EQ(route_cost(line, 0, 3), 3.0);
 
   const RoutedPlatform cable = make_line_platform({2, 3}, 0.5);
-  EXPECT_TRUE(cable.routing.direct(0, 1));
+  EXPECT_EQ(cable.routing.path(0, 1), (std::vector<ProcId>{0, 1}));
   EXPECT_EQ(cable.routing.path(1, 0), (std::vector<ProcId>{1, 0}));
 }
 
@@ -61,7 +75,7 @@ TEST(RoutingTable, RandomConnectedIsConnectedAndDeterministic) {
   for (ProcId q = 0; q < 6; ++q) {
     for (ProcId r = 0; r < 6; ++r) {
       // Connectivity is guaranteed by the spanning tree ...
-      EXPECT_TRUE(std::isfinite(a.routing.distance(q, r)));
+      EXPECT_TRUE(std::isfinite(route_cost(a, q, r)));
       // ... and the whole build is a pure function of the seed.
       EXPECT_EQ(a.platform.link(q, r), b.platform.link(q, r));
       EXPECT_EQ(a.routing.path(q, r), b.routing.path(q, r));
@@ -86,7 +100,6 @@ TEST(RoutingTable, TopologyFactoryDispatchesAndRejects) {
 // after p+1 hops had been emitted; it must fire *before* the table can
 // emit more entries than there are processors.
 TEST(RoutingTable, CyclicTableFiresLoopAssertWithinPEntries) {
-  Matrix<double> dist(3, 3, 1.0);
   Matrix<int> next(3, 3, 0);
   for (std::size_t i = 0; i < 3; ++i) {
     next(i, i) = static_cast<int>(i);
@@ -94,8 +107,7 @@ TEST(RoutingTable, CyclicTableFiresLoopAssertWithinPEntries) {
   // Deliberately corrupt: routes toward P2 bounce 0 <-> 1 forever.
   next(0, 2) = 1;
   next(1, 2) = 0;
-  const RoutingTable table =
-      RoutingTable::from_tables(3, std::move(dist), std::move(next));
+  const RoutingTable table = RoutingTable::from_tables(3, std::move(next));
   std::vector<ProcId> out;
   EXPECT_THROW(table.path_into(0, 2, out), std::logic_error);
   // Pre-fix the walk pushed {0, 1, 0, 1} before noticing the loop.
@@ -104,7 +116,7 @@ TEST(RoutingTable, CyclicTableFiresLoopAssertWithinPEntries) {
 
 // Regression (ISSUE-3): shortest_paths compared with an 1e-12 epsilon,
 // so a route genuinely shorter by less than that kept the stale (longer)
-// path and the stale distance.
+// path.
 TEST(RoutingTable, ExactComparisonCatchesTinyImprovements) {
   const double detour_leg = 1.0 - 1e-13;
   Matrix<double> link(3, 3, kNoLink);
@@ -115,7 +127,7 @@ TEST(RoutingTable, ExactComparisonCatchesTinyImprovements) {
   const Platform p({1.0, 1.0, 1.0}, std::move(link));
   const RoutingTable routing = RoutingTable::shortest_paths(p);
   EXPECT_EQ(routing.path(0, 2), (std::vector<ProcId>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(routing.distance(0, 2), 1.0 + detour_leg);
+  EXPECT_DOUBLE_EQ(route_cost(routing, p, 0, 2), 1.0 + detour_leg);
 }
 
 // Golden paths on equal-cost routes: ties break toward fewer hops, then
@@ -138,7 +150,7 @@ TEST(RoutingTable, EqualCostTieBreaksAreDeterministic) {
   const Platform p({1.0, 1.0, 1.0}, std::move(link));
   const RoutingTable routing = RoutingTable::shortest_paths(p);
   EXPECT_EQ(routing.path(0, 2), (std::vector<ProcId>{0, 2}));
-  EXPECT_DOUBLE_EQ(routing.distance(0, 2), 2.0);
+  EXPECT_DOUBLE_EQ(route_cost(routing, p, 0, 2), 2.0);
 }
 
 TEST(RoutingTable, PicksCheapestRoute) {
@@ -151,7 +163,73 @@ TEST(RoutingTable, PicksCheapestRoute) {
   const Platform p({1.0, 1.0, 1.0}, std::move(link));
   const RoutingTable routing = RoutingTable::shortest_paths(p);
   EXPECT_EQ(routing.path(0, 1), (std::vector<ProcId>{0, 2, 1}));
-  EXPECT_DOUBLE_EQ(routing.distance(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(route_cost(routing, p, 0, 1), 2.0);
+}
+
+// fold_route_costs is the only record of what a route costs, so it must
+// equal the link costs along path(q, r) bit for bit, summed from the
+// destination end as the fold does, on every builder, policy and cost
+// suffix.
+TEST(RouteCostFold, EqualsHopSumsAlongEveryPath) {
+  const std::vector<double> cycles{1.0, 2.0, 3.0, 1.5, 2.5};
+  for (const char* name :
+       {"ring", "star", "line", "random", "mesh3x3", "torus3x3",
+        "fattree2x2", "mesh3x3:het0.5", "mesh3x3:alt", "mesh4x4:het0.5:swp",
+        "torus4x4:alt:hot0.3", "fattree2x3:swp", "mesh3x4:aniso2"}) {
+    SCOPED_TRACE(name);
+    const RoutedPlatform routed =
+        make_topology_platform(name, cycles, 1.0, /*seed=*/3);
+    const RouteCosts costs = fold_route_costs(routed.routing, routed.platform);
+    const int p = routed.platform.num_processors();
+    for (ProcId q = 0; q < p; ++q) {
+      for (ProcId r = 0; r < p; ++r) {
+        const std::vector<ProcId> path = routed.routing.path(q, r);
+        double sum = 0.0;
+        double last = 0.0;
+        for (std::size_t h = path.size() - 1; h-- > 0;) {
+          const double hop = routed.platform.link(path[h], path[h + 1]);
+          if (h + 2 == path.size()) last = hop;
+          sum = hop + sum;
+        }
+        const auto i = static_cast<std::size_t>(q);
+        const auto j = static_cast<std::size_t>(r);
+        EXPECT_EQ(costs.route(i, j), sum) << q << " -> " << r;
+        EXPECT_EQ(costs.last_hop(i, j), last) << q << " -> " << r;
+      }
+    }
+  }
+}
+
+// from_tables checks nothing, so a table may hold loops and holes; the
+// fold leaves exactly the pairs whose hop chain never reaches the
+// destination at +inf in both matrices, and costs every other pair.
+TEST(RouteCostFold, BrokenRoutesStayInfinite) {
+  const RoutedPlatform ring = make_ring_platform({1, 1, 1, 1, 1}, 1.0);
+  Matrix<int> next = ring.routing.next_hops();
+  next(0, 2) = 1;  // loop: 0 -> 1 -> 0 -> ... toward P2
+  next(1, 2) = 0;
+  next(3, 4) = -1;  // hole: P3 has no hop toward P4 (nor has P2, via P3)
+  const RoutingTable broken = RoutingTable::from_tables(5, std::move(next));
+  const RouteCosts costs = fold_route_costs(broken, ring.platform);
+  const std::vector<std::pair<ProcId, ProcId>> expected_broken{
+      {0, 2}, {1, 2}, {2, 4}, {3, 4}};
+  std::vector<std::pair<ProcId, ProcId>> infinite;
+  for (ProcId q = 0; q < 5; ++q) {
+    for (ProcId r = 0; r < 5; ++r) {
+      const auto i = static_cast<std::size_t>(q);
+      const auto j = static_cast<std::size_t>(r);
+      const bool route_inf = std::isinf(costs.route(i, j));
+      EXPECT_EQ(std::isinf(costs.last_hop(i, j)), route_inf)
+          << q << " -> " << r;
+      if (route_inf) {
+        infinite.emplace_back(q, r);
+      } else {
+        EXPECT_EQ(costs.route(i, j), route_cost(ring, q, r))
+            << q << " -> " << r;
+      }
+    }
+  }
+  EXPECT_EQ(infinite, expected_broken);
 }
 
 // ---------------------------------------------------------------------
@@ -171,9 +249,9 @@ TEST(StructuredTopologies, Mesh3x3XYGoldenRoutes) {
   EXPECT_EQ(mesh.routing.path(0, 2), (std::vector<ProcId>{0, 1, 2}));
   EXPECT_EQ(mesh.routing.path(4, 4), (std::vector<ProcId>{4}));
   // No wrap links: the corner-to-corner route is the full Manhattan walk.
-  EXPECT_DOUBLE_EQ(mesh.routing.distance(0, 8), 4.0);
-  EXPECT_TRUE(mesh.routing.direct(0, 1));
-  EXPECT_FALSE(mesh.routing.direct(0, 4));  // diagonals are two hops
+  EXPECT_DOUBLE_EQ(route_cost(mesh, 0, 8), 4.0);
+  EXPECT_EQ(mesh.routing.path(0, 1).size(), 2u);
+  EXPECT_EQ(mesh.routing.path(0, 4).size(), 3u);  // diagonals are two hops
 }
 
 TEST(StructuredTopologies, Torus3x3WraparoundGoldenRoutes) {
@@ -185,8 +263,8 @@ TEST(StructuredTopologies, Torus3x3WraparoundGoldenRoutes) {
   EXPECT_EQ(torus.routing.path(0, 6), (std::vector<ProcId>{0, 6}));
   EXPECT_EQ(torus.routing.path(0, 8), (std::vector<ProcId>{0, 2, 8}));
   EXPECT_EQ(torus.routing.path(1, 8), (std::vector<ProcId>{1, 2, 8}));
-  EXPECT_DOUBLE_EQ(torus.routing.distance(0, 8), 2.0);
-  EXPECT_TRUE(torus.routing.direct(0, 2));  // wraparound neighbour
+  EXPECT_DOUBLE_EQ(route_cost(torus, 0, 8), 2.0);
+  EXPECT_EQ(torus.routing.path(0, 2).size(), 2u);  // wraparound neighbour
 }
 
 TEST(StructuredTopologies, TorusAntipodeTieTakesIncreasingDirection) {
@@ -209,11 +287,11 @@ TEST(StructuredTopologies, FatTree2x2UpDownGoldenRoutes) {
   EXPECT_EQ(tree.routing.path(4, 2), (std::vector<ProcId>{4, 1, 0, 2}));
   EXPECT_EQ(tree.routing.path(0, 5), (std::vector<ProcId>{0, 2, 5}));
   // Bandwidth taper: leaf links cost 1, the root level is 2x fatter.
-  EXPECT_DOUBLE_EQ(tree.routing.distance(3, 4), 2.0);
-  EXPECT_DOUBLE_EQ(tree.routing.distance(0, 2), 0.5);
-  EXPECT_DOUBLE_EQ(tree.routing.distance(3, 6), 3.0);
-  EXPECT_TRUE(tree.routing.direct(3, 1));
-  EXPECT_FALSE(tree.routing.direct(3, 0));
+  EXPECT_DOUBLE_EQ(route_cost(tree, 3, 4), 2.0);
+  EXPECT_DOUBLE_EQ(route_cost(tree, 0, 2), 0.5);
+  EXPECT_DOUBLE_EQ(route_cost(tree, 3, 6), 3.0);
+  EXPECT_EQ(tree.routing.path(3, 1).size(), 2u);
+  EXPECT_EQ(tree.routing.path(3, 0).size(), 3u);
 }
 
 TEST(StructuredTopologies, FactoryParsesDimensionedNames) {
@@ -295,7 +373,8 @@ TEST(StructuredTopologies, StructuredRoutesScheduleAndValidate) {
 
 // Cache correctness (ISSUE-4): the process-wide sweep cache must return
 // the same immutable instance per key, and that instance must be
-// identical -- paths and distances -- to a freshly built platform.
+// identical -- paths and links, hence route costs -- to a freshly built
+// platform.
 TEST(StructuredTopologies, SharedTopologyPlatformCachePinsFreshTables) {
   const std::vector<double> cycles{1.0, 2.0, 1.0, 2.0, 3.0};
   analysis::ShardedTopologyCache& cache = analysis::process_topology_cache();
@@ -310,7 +389,6 @@ TEST(StructuredTopologies, SharedTopologyPlatformCachePinsFreshTables) {
     EXPECT_EQ(a->platform.cycle_time(q), fresh.platform.cycle_time(q));
     for (ProcId r = 0; r < p; ++r) {
       EXPECT_EQ(a->routing.path(q, r), fresh.routing.path(q, r));
-      EXPECT_EQ(a->routing.distance(q, r), fresh.routing.distance(q, r));
       EXPECT_EQ(a->platform.link(q, r), fresh.platform.link(q, r));
     }
   }

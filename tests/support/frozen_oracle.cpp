@@ -76,12 +76,6 @@ std::uint64_t digest(const dyn::DynamicResult& r) {
 // helpers: the committed table pins this exact configuration, and it
 // must not move when the sweep's own scenarios or registry settings do.
 
-CommModel model_of(const SchedulerEntry& entry) {
-  return entry.name.find("oneport") != std::string::npos
-             ? CommModel::kOnePort
-             : CommModel::kMacroDataflow;
-}
-
 void append(std::vector<Scenario>& to, std::vector<Scenario> from) {
   for (Scenario& s : from) to.push_back(std::move(s));
 }
@@ -109,11 +103,9 @@ void dynamic_rows(std::vector<FrozenRow>& rows) {
         const dyn::EventTrace trace =
             dyn::make_named_trace(trace_name, scenario.graph,
                                   scenario.platform, initial, scenario.seed);
-        dyn::DynamicOptions options;
-        options.model = model_of(entry);
         const dyn::DynamicResult result =
             dyn::run_dynamic(scenario.graph, scenario.platform, entry.name,
-                             config, trace, options);
+                             config, trace);
         rows.push_back({"dynamic/" + scenario.description + "/" + entry.name +
                             "/" + trace_name,
                         result.makespan(), digest(result)});
