@@ -9,88 +9,95 @@
 
 namespace oneport {
 
+namespace {
+
+/// A heuristic family, run under the model its registry row hands it.
+using Heuristic = Schedule (*)(const TaskGraph&, const Platform&,
+                               EftEngine::Model, const SchedulerConfig&);
+
+constexpr Heuristic kHeft = [](const TaskGraph& g, const Platform& p,
+                               EftEngine::Model model,
+                               const SchedulerConfig& config) {
+  return heft(g, p, {.model = model, .routing = config.routing});
+};
+constexpr Heuristic kIlha = [](const TaskGraph& g, const Platform& p,
+                               EftEngine::Model model,
+                               const SchedulerConfig& config) {
+  return ilha(g, p,
+              {.model = model,
+               .chunk_size = config.ilha_chunk_size,
+               .routing = config.routing});
+};
+constexpr Heuristic kMinMin = [](const TaskGraph& g, const Platform& p,
+                                 EftEngine::Model model,
+                                 const SchedulerConfig& config) {
+  return min_min(g, p, {.model = model, .routing = config.routing});
+};
+constexpr Heuristic kMaxMin = [](const TaskGraph& g, const Platform& p,
+                                 EftEngine::Model model,
+                                 const SchedulerConfig& config) {
+  return min_min(g, p,
+                 {.model = model, .max_min = true, .routing = config.routing});
+};
+constexpr Heuristic kGdl = [](const TaskGraph& g, const Platform& p,
+                              EftEngine::Model model,
+                              const SchedulerConfig& config) {
+  return gdl(g, p, {.model = model, .routing = config.routing});
+};
+constexpr Heuristic kCpop = [](const TaskGraph& g, const Platform& p,
+                               EftEngine::Model model,
+                               const SchedulerConfig& config) {
+  return cpop(g, p, {.model = model, .routing = config.routing});
+};
+
+/// One registry entry.  `model` is both what the entry reports and what
+/// its heuristic schedules under, so the two cannot disagree.
+struct Row {
+  const char* name;
+  const char* description;
+  CommModel model;
+  Heuristic run;
+};
+
+constexpr Row kRows[] = {
+    {"heft-macro", "HEFT under the macro-dataflow model (unlimited ports)",
+     CommModel::kMacroDataflow, kHeft},
+    {"heft-oneport", "HEFT adapted to the bi-directional one-port model",
+     CommModel::kOnePort, kHeft},
+    {"ilha-macro", "ILHA under the macro-dataflow model",
+     CommModel::kMacroDataflow, kIlha},
+    {"ilha-oneport", "ILHA adapted to the bi-directional one-port model",
+     CommModel::kOnePort, kIlha},
+    {"minmin-macro", "min-min batch matching, macro-dataflow model",
+     CommModel::kMacroDataflow, kMinMin},
+    {"minmin-oneport", "min-min batch matching, one-port model",
+     CommModel::kOnePort, kMinMin},
+    {"maxmin-oneport", "max-min batch matching, one-port model",
+     CommModel::kOnePort, kMaxMin},
+    {"gdl-macro", "Generalized Dynamic Level (Sih-Lee), macro model",
+     CommModel::kMacroDataflow, kGdl},
+    {"gdl-oneport", "Generalized Dynamic Level (Sih-Lee), one-port model",
+     CommModel::kOnePort, kGdl},
+    {"cpop-macro", "CPOP baseline under the macro-dataflow model",
+     CommModel::kMacroDataflow, kCpop},
+    {"cpop-oneport", "CPOP baseline adapted to the one-port model",
+     CommModel::kOnePort, kCpop},
+};
+
+}  // namespace
+
 std::vector<SchedulerEntry> builtin_schedulers(const SchedulerConfig& config) {
-  using Model = EftEngine::Model;
   std::vector<SchedulerEntry> entries;
-  entries.push_back(
-      {"heft-macro", "HEFT under the macro-dataflow model (unlimited ports)",
-       CommModel::kMacroDataflow,
-       [config](const TaskGraph& g, const Platform& p) {
-         return heft(g, p, {.model = Model::kMacroDataflow,
-                            .routing = config.routing});
-       }});
-  entries.push_back(
-      {"heft-oneport", "HEFT adapted to the bi-directional one-port model",
-       CommModel::kOnePort,
-       [config](const TaskGraph& g, const Platform& p) {
-         return heft(g, p, {.model = Model::kOnePort,
-                            .routing = config.routing});
-       }});
-  entries.push_back(
-      {"ilha-macro", "ILHA under the macro-dataflow model",
-       CommModel::kMacroDataflow,
-       [config](const TaskGraph& g, const Platform& p) {
-         return ilha(g, p, {.model = Model::kMacroDataflow,
-                            .chunk_size = config.ilha_chunk_size,
-                            .routing = config.routing});
-       }});
-  entries.push_back(
-      {"ilha-oneport", "ILHA adapted to the bi-directional one-port model",
-       CommModel::kOnePort,
-       [config](const TaskGraph& g, const Platform& p) {
-         return ilha(g, p, {.model = Model::kOnePort,
-                            .chunk_size = config.ilha_chunk_size,
-                            .routing = config.routing});
-       }});
-  entries.push_back(
-      {"minmin-macro", "min-min batch matching, macro-dataflow model",
-       CommModel::kMacroDataflow,
-       [config](const TaskGraph& g, const Platform& p) {
-         return min_min(g, p, {.model = Model::kMacroDataflow,
-                               .routing = config.routing});
-       }});
-  entries.push_back(
-      {"minmin-oneport", "min-min batch matching, one-port model",
-       CommModel::kOnePort,
-       [config](const TaskGraph& g, const Platform& p) {
-         return min_min(g, p, {.model = Model::kOnePort,
-                               .routing = config.routing});
-       }});
-  entries.push_back(
-      {"maxmin-oneport", "max-min batch matching, one-port model",
-       CommModel::kOnePort,
-       [config](const TaskGraph& g, const Platform& p) {
-         return min_min(g, p, {.model = Model::kOnePort, .max_min = true,
-                               .routing = config.routing});
-       }});
-  entries.push_back(
-      {"gdl-macro", "Generalized Dynamic Level (Sih-Lee), macro model",
-       CommModel::kMacroDataflow,
-       [config](const TaskGraph& g, const Platform& p) {
-         return gdl(g, p, {.model = Model::kMacroDataflow,
-                           .routing = config.routing});
-       }});
-  entries.push_back(
-      {"gdl-oneport", "Generalized Dynamic Level (Sih-Lee), one-port model",
-       CommModel::kOnePort,
-       [config](const TaskGraph& g, const Platform& p) {
-         return gdl(g, p, {.model = Model::kOnePort,
-                           .routing = config.routing});
-       }});
-  entries.push_back(
-      {"cpop-macro", "CPOP baseline under the macro-dataflow model",
-       CommModel::kMacroDataflow,
-       [config](const TaskGraph& g, const Platform& p) {
-         return cpop(g, p, {.model = Model::kMacroDataflow,
-                            .routing = config.routing});
-       }});
-  entries.push_back(
-      {"cpop-oneport", "CPOP baseline adapted to the one-port model",
-       CommModel::kOnePort,
-       [config](const TaskGraph& g, const Platform& p) {
-         return cpop(g, p, {.model = Model::kOnePort,
-                            .routing = config.routing});
-       }});
+  for (const Row& row : kRows) {
+    const EftEngine::Model model = row.model == CommModel::kOnePort
+                                       ? EftEngine::Model::kOnePort
+                                       : EftEngine::Model::kMacroDataflow;
+    entries.push_back({row.name, row.description, row.model,
+                       [run = row.run, model, config](const TaskGraph& g,
+                                                      const Platform& p) {
+                         return run(g, p, model, config);
+                       }});
+  }
   return entries;
 }
 

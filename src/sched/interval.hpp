@@ -2,6 +2,11 @@
 // floating-point time comparisons in the library.
 #pragma once
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 namespace oneport {
 
 /// All schedule times are doubles; two events closer than kTimeEps are
@@ -9,6 +14,17 @@ namespace oneport {
 /// in the reproduced experiments are ~1e5-1e6 time units, far from the
 /// resolution limit of doubles.
 inline constexpr double kTimeEps = 1e-7;
+
+/// The next double above x: std::nextafter(x, +inf), without the libm
+/// call for a finite positive x, whose successor's bit pattern is one
+/// more (DBL_MAX's is +inf's).  Zeros, negatives, inf and NaN take
+/// std::nextafter.
+[[nodiscard]] inline double next_up(double x) noexcept {
+  if (x > 0 && x < std::numeric_limits<double>::infinity()) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) + 1);
+  }
+  return std::nextafter(x, std::numeric_limits<double>::infinity());
+}
 
 struct Interval {
   double start = 0.0;

@@ -9,8 +9,9 @@
 //   comm <src> <dst> <from> <to> <start> <finish>
 //
 // Byte contract: a double is printed as printf "%.17g" prints it
-// (max_digits10 significant digits, via std::to_chars), an integer as
-// its plain decimal, fields separated by one space, lines ended by '\n'.
+// (max_digits10 significant digits, via util/text_writer.hpp's
+// format_real), an integer as its plain decimal, fields separated by one
+// space, lines ended by '\n'.
 // The bytes are identical to those of earlier versions, which formatted
 // through iostreams at setprecision(17) (tests/text_oracle_test.cpp
 // compares the two), and a write/read round trip is bit-exact.  The

@@ -14,16 +14,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// A duration at or above which the gap walk's per-gap test
 /// `s + d <= e + kTimeEps` fails for the finite gap [s, e), in floating
-/// point.  Write x+ for the next double above x.  With E = fl(e +
-/// kTimeEps), fl(s + d) <= E forces s + d < E+: rounding is monotone and
-/// E+ rounds to itself.  And E+ - s < R+ for R = fl(E+ - s), because
-/// round-to-nearest lands within half an ulp of the exact difference.
-/// So every accepted d is below R+, the returned limit.  (The plain
-/// width test `d > e - s + kTimeEps` is not this predicate: with times
-/// near 1e9, where kTimeEps is below half an ulp, it rejects durations
-/// the gap walk accepts.)
+/// point.  Write x+ for next_up(x), the next double above x.  With
+/// E = fl(e + kTimeEps), fl(s + d) <= E forces s + d < E+: rounding is
+/// monotone and E+ rounds to itself.  And E+ - s < R+ for R = fl(E+ - s),
+/// because round-to-nearest lands within half an ulp of the exact
+/// difference.  So every accepted d is below R+, the returned limit.
+/// (The plain width test `d > e - s + kTimeEps` is not this predicate:
+/// with times near 1e9, where kTimeEps is below half an ulp, it rejects
+/// durations the gap walk accepts.)
 double fit_limit(double s, double e) {
-  return std::nextafter(std::nextafter(e + kTimeEps, kInf) - s, kInf);
+  return next_up(next_up(e + kTimeEps) - s);
 }
 
 }  // namespace

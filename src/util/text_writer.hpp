@@ -2,11 +2,14 @@
 // (sched/serialize), write_dot (graph/dot_export) and write_json_graph
 // (graph/dot_import).  util/text_reader.hpp is the read side.
 //
-// A TextWriter formats into one fixed-size chunk with std::to_chars and
-// hands the stream whole chunks through os.write, so a writer costs one
-// stream call per chunk instead of one formatted insertion per field, and
-// never stages the whole output in memory.  The stream's format flags and
-// precision are neither read nor changed.
+// A TextWriter formats into one fixed-size chunk and hands the stream
+// whole chunks through os.write, so a writer costs one stream call per
+// chunk instead of one formatted insertion per field, and never stages
+// the whole output in memory.  The stream's format flags and precision
+// are neither read nor changed.  Integers and put_number go through
+// std::to_chars; put_real goes through format_real, an exact kernel for
+// the range where %.17g prints fixed notation (10^-4 <= |x| < 10^17)
+// that falls back to std::to_chars for every other double.
 //
 // Byte contract (pinned against the former iostream writers by
 // tests/text_oracle_test.cpp):
@@ -40,6 +43,30 @@ namespace oneport {
 /// must be writable.
 char* format_trimmed_fixed(char* first, double value, int digits);
 
+/// Characters format_real may write: "-2.2250738585072014e-308" (sign,
+/// 17 digits, point, "e-308").  The longest fixed-notation text,
+/// "-0.00012345678901234567", is 23.
+inline constexpr std::size_t kMaxRealChars = 24;
+
+/// The smallest double >= 10^E for E = -4..17, at index E + 4: a double
+/// is >= 10^E exactly when it is >= kDecimalThresholds[E + 4].  From
+/// E = 0 on these are 10^E itself.  format_real's fixed-notation range is
+/// [front, back); util_test checks every entry in integer arithmetic.
+inline constexpr std::array<double, 22> kDecimalThresholds = {
+    0x1.a36e2eb1c432dp-14, 0x1.0624dd2f1a9fcp-10, 0x1.47ae147ae147bp-7,
+    0x1.999999999999ap-4,  0x1p+0,                0x1.4p+3,
+    0x1.9p+6,              0x1.f4p+9,             0x1.388p+13,
+    0x1.86ap+16,           0x1.e848p+19,          0x1.312dp+23,
+    0x1.7d784p+26,         0x1.dcd65p+29,         0x1.2a05f2p+33,
+    0x1.74876e8p+36,       0x1.d1a94a2p+39,       0x1.2309ce54p+43,
+    0x1.6bcc41e9p+46,      0x1.c6bf52634p+49,     0x1.1c37937e08p+53,
+    0x1.6345785d8ap+56};
+
+/// Writes `value` as printf("%.17g", value) would (max_digits10
+/// significant digits, so the text reads back bit-exactly); returns the
+/// end of the text.  [first, first + kMaxRealChars) must be writable.
+char* format_real(char* first, double value);
+
 class TextWriter {
  public:
   explicit TextWriter(std::ostream& os) noexcept : os_(os) {}
@@ -56,12 +83,10 @@ class TextWriter {
     advance(std::to_chars(cursor(), end(), value).ptr);
   }
 
-  /// printf "%.17g" (max_digits10 significant digits).
+  /// printf "%.17g" (max_digits10 significant digits), via format_real.
   void put_real(double value) {
-    reserve(kRealChars);
-    advance(
-        std::to_chars(cursor(), end(), value, std::chars_format::general, 17)
-            .ptr);
+    reserve(kMaxRealChars);
+    advance(format_real(cursor(), value));
   }
 
   /// csv::format_number(value) with its default 3 decimals.
@@ -78,8 +103,6 @@ class TextWriter {
   static constexpr std::size_t kChunk = 16 * 1024;
   // "-9223372036854775808" / "18446744073709551615".
   static constexpr std::size_t kIntChars = 20;
-  // "-2.2250738585072014e-308": sign, 17 digits, point, "e-308".
-  static constexpr std::size_t kRealChars = 24;
 
   [[nodiscard]] char* cursor() noexcept { return buf_.data() + used_; }
   [[nodiscard]] char* end() noexcept { return buf_.data() + buf_.size(); }

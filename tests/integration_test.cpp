@@ -76,6 +76,25 @@ TEST(Registry, ExposesAllSchedulers) {
   EXPECT_EQ(find_scheduler("ilha-oneport").name, "ilha-oneport");
 }
 
+/// An entry's `model` is the model its heuristic schedules under, and
+/// the one its name announces.  On MICROSVC (n = 40, paper platform)
+/// every macro-dataflow schedule overlaps messages on some port, so the
+/// one-port validator accepts exactly the one-port entries' schedules:
+/// a model that does not reach the heuristic, or a row given the other
+/// model, fails here in either direction.
+TEST(Registry, ModelIsTheModelTheEntrySchedulesUnder) {
+  const TaskGraph graph = testbeds::make_microsvc(40);
+  const Platform platform = make_paper_platform();
+  for (const SchedulerEntry& entry : builtin_schedulers()) {
+    const bool one_port = entry.model == CommModel::kOnePort;
+    EXPECT_EQ(entry.name.ends_with("-oneport"), one_port) << entry.name;
+    EXPECT_EQ(validate_one_port(entry.run(graph, platform), graph, platform)
+                  .ok(),
+              one_port)
+        << entry.name;
+  }
+}
+
 /// The macro model is a relaxation of the one-port model, so for the SAME
 /// scheduler family the macro makespan reported is never above the
 /// one-port makespan on these kernels.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -155,6 +156,32 @@ TEST(SerializeSchedule, StreamsRecordsAcrossChunkBoundaries) {
   std::istringstream long_line("schedule v1\ntask 0 0 0 1" +
                                std::string(40000, ' ') + "\n");
   EXPECT_EQ(read_schedule(long_line).num_tasks(), 1u);
+}
+
+/// write_schedule's bytes for one-port HEFT on the ~10k-task random
+/// layered graph of bench_scale's scale/n=10000, pinned by size and
+/// FNV-1a digest.  text_oracle_test and import_oracle_test both judge
+/// the writer against std::to_chars; this pin does not depend on it.
+TEST(SerializeSchedule, ScaleScheduleBytesArePinned) {
+  testbeds::RandomDagOptions options;
+  options.layers = 10000 / 8;
+  options.max_width = 15;
+  options.max_in_degree = 3;
+  options.back_reach = 2;
+  options.comm_ratio = 5.0;
+  options.seed = 20260729 + 10000;
+  const TaskGraph g = testbeds::make_random_layered(options);
+  const Schedule s = heft(g, make_paper_platform(),
+                          {.model = EftEngine::Model::kOnePort});
+  std::ostringstream os;
+  write_schedule(os, s);
+  const std::string text = std::move(os).str();
+  std::uint64_t digest = 0xcbf29ce484222325;
+  for (const char c : text) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3;
+  }
+  EXPECT_EQ(text.size(), 1147388u);
+  EXPECT_EQ(digest, 0x8fae0a3f9b9f6a92u);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sched/timeline.hpp"
@@ -172,6 +174,34 @@ TEST(Interval, OverlapSemantics) {
   EXPECT_FALSE(overlaps({0.0, 2.0}, {2.0, 3.0}));  // touching
   EXPECT_FALSE(overlaps({0.0, 2.0}, {5.0, 6.0}));
   EXPECT_FALSE(overlaps({1.0, 1.0}, {0.0, 9.0}));  // degenerate
+}
+
+/// next_up is std::nextafter(x, +inf) bit for bit: on the IEEE corners
+/// (both its own bit-increment path and the libm fallback) and on a
+/// seeded sample of bit patterns of every sign and class.
+TEST(Interval, NextUpEqualsNextafter) {
+  using L = std::numeric_limits<double>;
+  const auto expect_same = [](double x) {
+    const double want = std::nextafter(x, L::infinity());
+    const double got = next_up(x);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << x;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                std::bit_cast<std::uint64_t>(got))
+          << std::hexfloat << x;
+    }
+  };
+  for (const double x :
+       {0.0, -0.0, L::denorm_min(), -L::denorm_min(), L::min(), -L::min(),
+        L::max(), -L::max(), L::infinity(), -L::infinity(), L::quiet_NaN(),
+        1.0, -1.0}) {
+    expect_same(x);
+  }
+  SplitMix64 rng(20261018);
+  for (int i = 0; i < 100000; ++i) {
+    expect_same(std::bit_cast<double>(rng()));
+  }
 }
 
 // ----------------------------------------------- differential fuzzing

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -13,6 +17,7 @@
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/text_reader.hpp"
+#include "util/text_writer.hpp"
 
 namespace oneport {
 namespace {
@@ -327,6 +332,154 @@ TEST(TextReader, FieldsAndTrim) {
   EXPECT_EQ(next_field(line), "");
   EXPECT_EQ(trim("  a b \r"), "a b");
   EXPECT_EQ(trim(" \t "), "");
+}
+
+// ------------------------------------------------------------ format_real
+//
+// format_real prints 10^-4 <= |x| < 10^17 with its own kernel and the
+// rest with std::to_chars.  These cases hold the kernel to
+// std::to_chars(general, 17) where it is easiest to get wrong: the
+// decimal exponent at each threshold, round-half-even ties, and the
+// premise that rounding never carries.
+
+using u128 = __uint128_t;
+
+/// x = m 2^e exactly, with m an integer below 2^53.
+struct Dyadic {
+  std::uint64_t m;
+  int e;
+};
+
+Dyadic dyadic(double x) {
+  int exp = 0;
+  const double fraction = std::frexp(x, &exp);
+  return {static_cast<std::uint64_t>(std::ldexp(fraction, 53)), exp - 53};
+}
+
+u128 pow_u128(std::uint64_t base, int n) {
+  u128 p = 1;
+  for (int i = 0; i < n; ++i) p *= base;
+  return p;
+}
+
+/// The sign of a 2^shift - b, exactly (callers keep both sides < 2^128).
+int compare_scaled(u128 a, int shift, u128 b) {
+  if (shift >= 0) {
+    a <<= shift;
+  } else {
+    b <<= -shift;
+  }
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// The sign of x - 10^k, in integer arithmetic.
+int compare_pow10(double x, int k) {
+  const Dyadic d = dyadic(x);
+  // m 2^e against 5^k 2^k.
+  return compare_scaled(d.m * pow_u128(5, std::max(0, -k)), d.e - k,
+                        pow_u128(5, std::max(0, k)));
+}
+
+std::string kernel_text(double x) {
+  std::array<char, kMaxRealChars> buf{};  // exactly the promised room
+  return {buf.data(), format_real(buf.data(), x)};
+}
+
+std::string reference_text(double x) {
+  std::array<char, 64> buf{};
+  return {buf.data(), std::to_chars(buf.data(), buf.data() + buf.size(), x,
+                                    std::chars_format::general, 17)
+                          .ptr};
+}
+
+void expect_same_text(double x) {
+  EXPECT_EQ(kernel_text(x), reference_text(x)) << std::hexfloat << x;
+  EXPECT_EQ(kernel_text(-x), reference_text(-x)) << std::hexfloat << -x;
+}
+
+TEST(FormatReal, ThresholdsAreTheSmallestDoublesAtLeastEachPowerOfTen) {
+  for (std::size_t i = 0; i < kDecimalThresholds.size(); ++i) {
+    const int k = static_cast<int>(i) - 4;
+    const double t = kDecimalThresholds[i];
+    EXPECT_GE(compare_pow10(t, k), 0) << "10^" << k;
+    EXPECT_LT(compare_pow10(std::nextafter(t, 0.0), k), 0) << "10^" << k;
+  }
+}
+
+/// The kernel's no-carry premise: the double below 10^(E+1) -- the
+/// threshold's predecessor -- rounds to fewer than 10^17 at 17
+/// significant digits, i.e. x 10^(16-E) < 10^17 - 1/2, for every decade
+/// E the kernel prints and the one below it.
+TEST(FormatReal, SeventeenDigitRoundingNeverCarriesIntoTheNextDecade) {
+  const u128 limit = 2 * pow_u128(10, 17) - 1;
+  for (std::size_t i = 0; i < kDecimalThresholds.size(); ++i) {
+    const int decade = static_cast<int>(i) - 5;  // below 10^(decade + 1)
+    const Dyadic d = dyadic(std::nextafter(kDecimalThresholds[i], 0.0));
+    // 2 m 2^e 10^(16 - decade) against 2 10^17 - 1.
+    EXPECT_LT(compare_scaled(2 * d.m * pow_u128(5, 16 - decade),
+                             d.e + 16 - decade, limit),
+              0)
+        << "decade " << decade;
+  }
+}
+
+/// Every x = j 2^(E-17) with j odd lies exactly halfway between two
+/// 17-digit decimals of decade E; consecutive odd j alternate the parity
+/// of the digit the tie rounds to.  Ties exist in each binade [2^b,
+/// 2^(b+1)) whose ulp 2^(b-52) is at most 2^(E-17): b = -13..50 here.
+TEST(FormatReal, TiesRoundHalfToEvenInEveryBinadeThatHasThem) {
+  EXPECT_EQ(kernel_text(1125899906842624.25), "1125899906842624.2");
+  EXPECT_EQ(kernel_text(1125899906842624.75), "1125899906842624.8");
+  int first = 100;
+  int last = -100;
+  for (int b = -13; b < 56; ++b) {
+    for (int k = -4; k <= 16; ++k) {
+      if (b - 52 > k - 17) continue;  // the binade's ulp is too coarse
+      const double lo = std::max(std::ldexp(1.0, b),
+                                 kDecimalThresholds[static_cast<std::size_t>(
+                                     k + 4)]);
+      const double hi = std::min(std::ldexp(1.0, b + 1),
+                                 kDecimalThresholds[static_cast<std::size_t>(
+                                     k + 5)]);
+      if (!(lo < hi)) continue;
+      const auto j0 = static_cast<std::uint64_t>(std::ldexp(lo, 17 - k)) | 1;
+      const auto j1 = static_cast<std::uint64_t>(std::ldexp(hi, 17 - k)) | 1;
+      for (const std::uint64_t j : {j0 + 2, j0 + 4, j1 - 4, j1 - 2}) {
+        // Exact: j < 2^(b + 18 - k) <= 2^53.
+        const double x = std::ldexp(static_cast<double>(j), k - 17);
+        if (!(lo <= x && x < hi)) continue;
+        expect_same_text(x);
+        first = std::min(first, b);
+        last = std::max(last, b);
+      }
+    }
+  }
+  EXPECT_EQ(first, -13);
+  EXPECT_EQ(last, 50);
+}
+
+TEST(FormatReal, MatchesToCharsAroundEveryThreshold) {
+  for (const double t : kDecimalThresholds) {
+    double below = t;
+    double above = t;
+    expect_same_text(t);
+    for (int i = 0; i < 64; ++i) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, std::numeric_limits<double>::infinity());
+      expect_same_text(below);
+      expect_same_text(above);
+    }
+  }
+  // The fallback's classes and the longest fixed-notation text.
+  for (const double x : {0.0, std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(),
+                         0.00012345678901234567, 288076.9976069458}) {
+    expect_same_text(x);
+  }
+  EXPECT_EQ(kernel_text(-0.00012345678901234567), "-0.00012345678901234567");
 }
 
 }  // namespace
