@@ -30,7 +30,7 @@ int main() {
     auto run = [&](bool quota, bool scan, bool resched) {
       const Schedule s =
           ilha(graph, platform,
-               {.model = EftEngine::Model::kOnePort,
+               {.model = CommModel::kOnePort,
                 .chunk_size = entry.paper_best_b,
                 .quota_in_step2 = quota,
                 .single_comm_scan = scan,

@@ -35,15 +35,15 @@ int main() {
     const TaskGraph graph = entry.make(n, testbeds::kPaperCommRatio);
 
     const Schedule macro =
-        heft(graph, platform, {.model = EftEngine::Model::kMacroDataflow});
+        heft(graph, platform, {.model = CommModel::kMacroDataflow});
     const Schedule replayed =
         asap_replay(macro, graph, platform, CommModel::kOnePort);
     ensure(validate_one_port(replayed, graph, platform).ok(),
            "replayed schedule invalid for " + entry.name);
     const Schedule hop =
-        heft(graph, platform, {.model = EftEngine::Model::kOnePort});
+        heft(graph, platform, {.model = CommModel::kOnePort});
     const Schedule iop =
-        ilha(graph, platform, {.model = EftEngine::Model::kOnePort,
+        ilha(graph, platform, {.model = CommModel::kOnePort,
                                .chunk_size = entry.paper_best_b});
 
     table.add_row({entry.name, csv::format_number(macro.makespan(), 0),

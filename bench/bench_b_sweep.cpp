@@ -37,7 +37,7 @@ int main() {
     for (const int b : bs) {
       const Schedule s = ilha(
           graph, platform,
-          {.model = EftEngine::Model::kOnePort, .chunk_size = b});
+          {.model = CommModel::kOnePort, .chunk_size = b});
       ensure(validate_one_port(s, graph, platform).ok(),
              "invalid ILHA schedule in B sweep");
       const double ratio = analysis::speedup(graph, platform, s);

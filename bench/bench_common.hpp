@@ -43,7 +43,7 @@ inline void register_runtime_benchmarks(const std::string& testbed_name,
         double makespan = 0.0;
         for (auto _ : state) {
           const Schedule s =
-              heft(*graph, *platform, {.model = EftEngine::Model::kOnePort});
+              heft(*graph, *platform, {.model = CommModel::kOnePort});
           makespan = s.makespan();
           benchmark::DoNotOptimize(makespan);
         }
@@ -60,7 +60,7 @@ inline void register_runtime_benchmarks(const std::string& testbed_name,
         for (auto _ : state) {
           const Schedule s =
               ilha(*graph, *platform,
-                   {.model = EftEngine::Model::kOnePort,
+                   {.model = CommModel::kOnePort,
                     .chunk_size = chunk_size});
           makespan = s.makespan();
           benchmark::DoNotOptimize(makespan);

@@ -51,11 +51,11 @@ int main() {
         const TaskGraph graph = testbeds::make_random_layered(options);
 
         const Schedule hs = heft(graph, platform,
-                                 {.model = EftEngine::Model::kOnePort});
+                                 {.model = CommModel::kOnePort});
         const IlhaAutotuneResult ir = ilha_autotune(
-            graph, platform, {.model = EftEngine::Model::kOnePort});
+            graph, platform, {.model = CommModel::kOnePort});
         const Schedule gs = gdl(graph, platform,
-                                {.model = EftEngine::Model::kOnePort});
+                                {.model = CommModel::kOnePort});
         for (const Schedule* s : {&hs, &ir.schedule, &gs}) {
           ensure(validate_one_port(*s, graph, platform).ok(),
                  "invalid schedule in random sweep");

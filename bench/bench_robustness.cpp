@@ -48,9 +48,9 @@ int main() {
   for (const testbeds::TestbedEntry& entry : testbeds::paper_testbeds()) {
     const TaskGraph graph = entry.make(n, testbeds::kPaperCommRatio);
     const Schedule hs = heft(graph, platform,
-                             {.model = EftEngine::Model::kOnePort});
+                             {.model = CommModel::kOnePort});
     const Schedule is = ilha(graph, platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .chunk_size = entry.paper_best_b});
     table.add_row({entry.name,
                    csv::format_number(mean_inflation(hs, graph, platform,

@@ -102,7 +102,7 @@ const Schedule& scale_heft_schedule_100k() {
   static const Schedule* schedule = [] {
     const TaskGraph& graph = scale_graph(100000);
     const auto* s = new Schedule(
-        heft(graph, paper_platform(), {.model = EftEngine::Model::kOnePort}));
+        heft(graph, paper_platform(), {.model = CommModel::kOnePort}));
     const ValidationResult verdict =
         validate_one_port(*s, graph, paper_platform());
     OP_ASSERT(verdict.ok(), "scale/n=100000 heft-oneport schedule invalid: "
@@ -142,14 +142,14 @@ void attach_profile_counters(benchmark::State& state) {
 void register_scheduler_benchmarks() {
   struct SchedulerCase {
     std::string name;
-    EftEngine::Model model;
+    CommModel model;
     bool ilha;
   };
   const std::vector<SchedulerCase> all_cases = {
-      {"heft-oneport", EftEngine::Model::kOnePort, false},
-      {"ilha-oneport", EftEngine::Model::kOnePort, true},
-      {"heft-macro", EftEngine::Model::kMacroDataflow, false},
-      {"ilha-macro", EftEngine::Model::kMacroDataflow, true},
+      {"heft-oneport", CommModel::kOnePort, false},
+      {"ilha-oneport", CommModel::kOnePort, true},
+      {"heft-macro", CommModel::kMacroDataflow, false},
+      {"ilha-macro", CommModel::kMacroDataflow, true},
   };
   // The 100k tier tracks the end-to-end hot path at the scale the CSR /
   // arena work targets; only the one-port cases run there.
@@ -239,11 +239,11 @@ void register_routed_benchmarks() {
                 const Schedule s =
                     run_ilha
                         ? ilha(graph, routed.platform,
-                               {.model = EftEngine::Model::kOnePort,
+                               {.model = CommModel::kOnePort,
                                 .chunk_size = 38,
                                 .routing = &routed.routing})
                         : heft(graph, routed.platform,
-                               {.model = EftEngine::Model::kOnePort,
+                               {.model = CommModel::kOnePort,
                                 .routing = &routed.routing});
                 makespan = s.makespan();
                 benchmark::DoNotOptimize(makespan);
@@ -282,11 +282,11 @@ void register_routed_benchmarks() {
           for (auto _ : state) {
             const Schedule s =
                 run_ilha ? ilha(graph, routed.platform,
-                                {.model = EftEngine::Model::kOnePort,
+                                {.model = CommModel::kOnePort,
                                  .chunk_size = 38,
                                  .routing = &routed.routing})
                          : heft(graph, routed.platform,
-                                {.model = EftEngine::Model::kOnePort,
+                                {.model = CommModel::kOnePort,
                                  .routing = &routed.routing});
             makespan = s.makespan();
             benchmark::DoNotOptimize(makespan);
@@ -567,7 +567,7 @@ void register_exact_benchmarks() {
         [c](benchmark::State& state) {
           const Platform& platform = paper_platform();
           const double heft_makespan =
-              heft(*c.graph, platform, {.model = EftEngine::Model::kOnePort})
+              heft(*c.graph, platform, {.model = CommModel::kOnePort})
                   .makespan();
           exact::BranchBoundOptions options;
           options.node_budget = c.node_budget;

@@ -36,7 +36,7 @@ int main() {
 
   // Macro-dataflow HEFT: the contention-free makespan (paper: 3).
   const Schedule macro =
-      heft(graph, platform, {.model = EftEngine::Model::kMacroDataflow});
+      heft(graph, platform, {.model = CommModel::kMacroDataflow});
   add("heft", "macro-dataflow", macro,
       validate_macro_dataflow(macro, graph, platform));
 
@@ -49,10 +49,10 @@ int main() {
 
   // Native one-port heuristics.
   const Schedule hop =
-      heft(graph, platform, {.model = EftEngine::Model::kOnePort});
+      heft(graph, platform, {.model = CommModel::kOnePort});
   add("heft", "one-port", hop, validate_one_port(hop, graph, platform));
   const Schedule iop = ilha(
-      graph, platform, {.model = EftEngine::Model::kOnePort, .chunk_size = 8});
+      graph, platform, {.model = CommModel::kOnePort, .chunk_size = 8});
   add("ilha(B=8)", "one-port", iop, validate_one_port(iop, graph, platform));
 
   // Exact one-port optimum (paper: 5).

@@ -47,9 +47,9 @@ int main() {
   const Platform platform = make_homogeneous_platform(2, 1.0, 1.0);
 
   const Schedule hs =
-      heft(graph, platform, {.model = EftEngine::Model::kOnePort});
+      heft(graph, platform, {.model = CommModel::kOnePort});
   const Schedule is = ilha(
-      graph, platform, {.model = EftEngine::Model::kOnePort, .chunk_size = 8});
+      graph, platform, {.model = CommModel::kOnePort, .chunk_size = 8});
 
   std::cout << "Section 4.4 toy example -- 2 same-speed processors\n\n";
   csv::Table table({"heuristic", "makespan", "messages", "valid"});

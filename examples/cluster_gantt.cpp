@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
             << platform.num_processors() << " machines\n\n";
 
   const Schedule hs = heft(graph, platform,
-                           {.model = EftEngine::Model::kOnePort});
+                           {.model = CommModel::kOnePort});
   const Schedule is = ilha(graph, platform,
-                           {.model = EftEngine::Model::kOnePort,
+                           {.model = CommModel::kOnePort,
                             .chunk_size = 8});
   for (const auto& [name, schedule] :
        {std::pair<const char*, const Schedule&>{"heft", hs},

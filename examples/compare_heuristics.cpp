@@ -37,11 +37,10 @@ int main(int argc, char** argv) {
       {"scheduler", "model", "makespan", "ratio", "messages", "valid"});
   for (const SchedulerEntry& entry : builtin_schedulers(chunk)) {
     const Schedule schedule = entry.run(graph, platform);
-    const bool one_port = entry.model == CommModel::kOnePort;
     const ValidationResult check =
-        one_port ? validate_one_port(schedule, graph, platform)
-                 : validate_macro_dataflow(schedule, graph, platform);
-    table.add_row({entry.name, one_port ? "one-port" : "macro",
+        validate(schedule, graph, platform, entry.model);
+    table.add_row({entry.name,
+                   entry.model == CommModel::kOnePort ? "one-port" : "macro",
                    csv::format_number(schedule.makespan(), 0),
                    csv::format_number(
                        analysis::speedup(graph, platform, schedule)),

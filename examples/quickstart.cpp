@@ -37,9 +37,9 @@ int main() {
 
   for (const bool use_ilha : {false, true}) {
     const Schedule schedule =
-        use_ilha ? ilha(g, platform, {.model = EftEngine::Model::kOnePort,
+        use_ilha ? ilha(g, platform, {.model = CommModel::kOnePort,
                                       .chunk_size = 4})
-                 : heft(g, platform, {.model = EftEngine::Model::kOnePort});
+                 : heft(g, platform, {.model = CommModel::kOnePort});
     const ValidationResult check = validate_one_port(schedule, g, platform);
     const analysis::ScheduleStats stats =
         analysis::compute_stats(g, platform, schedule);

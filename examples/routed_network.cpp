@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
   auto run = [&](const std::string& topo, const Platform& platform,
                  const RoutingTable* routing) {
     const Schedule hs = heft(graph, platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .routing = routing});
     const Schedule is = ilha(graph, platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .chunk_size = 12,
                               .routing = routing});
     for (const auto& [name, s] :

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                       2 * perfect}) {
     const Schedule schedule =
         ilha(graph, platform,
-             {.model = EftEngine::Model::kOnePort, .chunk_size = b});
+             {.model = CommModel::kOnePort, .chunk_size = b});
     ensure(validate_one_port(schedule, graph, platform).ok(),
            "invalid ILHA schedule");
     const double ratio = analysis::speedup(graph, platform, schedule);

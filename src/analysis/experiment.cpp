@@ -111,9 +111,7 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
     }
   } else if (options.validate) {
     const ValidationResult result =
-        scheduler.model == CommModel::kOnePort
-            ? validate_one_port(schedule, graph, target)
-            : validate_macro_dataflow(schedule, graph, target);
+        validate(schedule, graph, target, scheduler.model);
     ensure(result.ok(), point.scheduler + " schedule invalid for " +
                             point.topology + "/" + point.testbed + "(" +
                             std::to_string(point.size) +

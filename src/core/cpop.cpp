@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/heft.hpp"
 #include "core/priorities.hpp"
 #include "util/error.hpp"
 
 namespace oneport {
 
 Schedule cpop(const TaskGraph& graph, const Platform& platform,
-              const CpopOptions& options) {
+              const EftOptions& options) {
   OP_REQUIRE(graph.finalized(), "graph must be finalized");
   const std::vector<double> bl = averaged_bottom_levels(graph, platform);
   const std::vector<double> tl = averaged_top_levels(graph, platform);
@@ -22,13 +23,12 @@ Schedule cpop(const TaskGraph& graph, const Platform& platform,
     cp_length = std::max(cp_length, rank[v]);
   }
   const double tolerance = 1e-9 * (1.0 + cp_length);
-  std::vector<bool> critical(graph.num_tasks(), false);
+  const auto critical = [&](TaskId v) {
+    return rank[v] >= cp_length - tolerance;
+  };
   double critical_weight = 0.0;
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    if (rank[v] >= cp_length - tolerance) {
-      critical[v] = true;
-      critical_weight += graph.weight(v);
-    }
+    if (critical(v)) critical_weight += graph.weight(v);
   }
   // The critical-path processor minimizes the execution time of all
   // critical tasks (smallest index on ties) -- i.e. the fastest processor.
@@ -40,32 +40,11 @@ Schedule cpop(const TaskGraph& graph, const Platform& platform,
     }
   }
 
-  const PriorityOrder higher_priority{&bl};
-  EftEngine engine(graph, platform, options.model, options.routing);
-
-  std::vector<TaskId> ready;
+  std::vector<ProcId> pinned(graph.num_tasks(), -1);
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    if (engine.ready(v)) ready.push_back(v);
+    if (critical(v)) pinned[v] = cp_proc;
   }
-  std::sort(ready.begin(), ready.end(), higher_priority);
-
-  while (!ready.empty()) {
-    const TaskId v = ready.front();
-    ready.erase(ready.begin());
-    if (critical[v]) {
-      engine.commit(engine.evaluate(v, cp_proc));
-    } else {
-      engine.commit(engine.evaluate_best(v));
-    }
-    for (const EdgeRef& e : graph.successors(v)) {
-      if (engine.ready(e.task)) {
-        const auto pos = std::lower_bound(ready.begin(), ready.end(), e.task,
-                                          higher_priority);
-        ready.insert(pos, e.task);
-      }
-    }
-  }
-  return engine.build_schedule();
+  return priority_list_schedule(graph, platform, bl, pinned, options);
 }
 
 }  // namespace oneport

@@ -5,8 +5,9 @@
 // CPOP ranks tasks by top level + bottom level; tasks whose rank equals
 // the critical-path length are all pinned to the single processor that
 // executes the whole critical path fastest.  Every other task is placed by
-// earliest finish time, exactly like HEFT.  The one-port adaptation reuses
-// the same greedy port-reservation machinery (§4.3).
+// earliest finish time: CPOP is HEFT's priority loop
+// (priority_list_schedule) with the critical tasks pinned.  The one-port
+// adaptation reuses the same greedy port-reservation machinery (§4.3).
 #pragma once
 
 #include "core/eft_engine.hpp"
@@ -14,14 +15,8 @@
 
 namespace oneport {
 
-struct CpopOptions {
-  EftEngine::Model model = EftEngine::Model::kOnePort;
-  /// Optional routing table for sparse networks (must outlive the call).
-  const RoutingTable* routing = nullptr;
-};
-
 /// Runs CPOP and returns a complete schedule.
 [[nodiscard]] Schedule cpop(const TaskGraph& graph, const Platform& platform,
-                            const CpopOptions& options = {});
+                            const EftOptions& options = {});
 
 }  // namespace oneport

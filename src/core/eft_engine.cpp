@@ -10,7 +10,7 @@
 namespace oneport {
 
 EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
-                     Model model, const RoutingTable* routing)
+                     CommModel model, const RoutingTable* routing)
     : graph_(graph),
       platform_(platform),
       model_(model),
@@ -112,7 +112,7 @@ const std::vector<EftEngine::PredRec>& EftEngine::sorted_preds(
   // fits the smallest possible transfer.  Port reservations only grow, so
   // a release computed now stays a valid lower bound even if other
   // commits land before the next evaluation.
-  if (model_ == Model::kOnePort) {
+  if (model_ == CommModel::kOnePort) {
     for (PredRec& r : preds_) {
       const auto q = static_cast<std::size_t>(r.proc);
       const double min_duration = r.data * min_out_link_[q];
@@ -152,7 +152,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
   // path's.  The per-processor overlays are never touched here, which
   // makes skipping the epoch bump safe: every general evaluation still
   // bumps before reading one.
-  if (model_ == Model::kOnePort && routing_ == nullptr && np_ <= 64) {
+  if (model_ == CommModel::kOnePort && routing_ == nullptr && np_ <= 64) {
     std::uint64_t seen = 0;
     bool distinct = true;
     for (const PredRec& r : preds) {
@@ -235,7 +235,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
                  "no direct link P" << a << "->P" << b
                                     << " and no routing table provided");
       double start = cursor;
-      if (model_ == Model::kOnePort) {
+      if (model_ == CommModel::kOnePort) {
         TimelineOverlay& send_ov =
             overlay_of(send_overlays_, send_epochs_, send_, a);
         TimelineOverlay& recv_ov =
@@ -283,7 +283,7 @@ void EftEngine::fill_bounds(TaskId v) const {
   const std::size_t np = np_;
   arr_scratch_.assign(np, 0.0);
   double* const arr = arr_scratch_.data();
-  if (model_ == Model::kOnePort) {
+  if (model_ == CommModel::kOnePort) {
     chain_scratch_.assign(np, 0.0);
     double* const chain = chain_scratch_.data();
     for (const PredRec& r : preds) {
@@ -439,7 +439,7 @@ void EftEngine::commit(const Evaluation& eval) {
              "task " << eval.task << " already scheduled");
   prof::bump(prof::Counter::kEngineCommits);
   for (const CommDecision& c : eval.comms) {
-    if (model_ == Model::kOnePort) {
+    if (model_ == CommModel::kOnePort) {
       send_[static_cast<std::size_t>(c.from)].reserve(c.start, c.finish);
       recv_[static_cast<std::size_t>(c.to)].reserve(c.start, c.finish);
     }

@@ -12,6 +12,9 @@
 // evaluation* are tracked in overlays so they cannot collide with each
 // other.  Under the macro-dataflow model messages simply travel during
 // [finish(u), finish(u) + data*link).  Nothing is mutated until commit().
+// The model is a CommModel (sched/schedule.hpp), the one record of it
+// every layer reads; HEFT, CPOP and GDL take it, with the routing table,
+// as EftOptions.
 //
 // Incoming messages are ordered by predecessor data-ready time (earliest
 // finish first, task id on ties); the paper leaves this order open and
@@ -103,16 +106,21 @@ struct Evaluation {
   std::vector<CommDecision> comms;
 };
 
+/// What an EFT heuristic schedules under: the communication model and an
+/// optional routing table for sparse networks (must outlive the call).
+struct EftOptions {
+  CommModel model = CommModel::kOnePort;
+  const RoutingTable* routing = nullptr;
+};
+
 class EftEngine {
  public:
-  enum class Model { kMacroDataflow, kOnePort };
-
-  /// `routing` is optional (may be null): when provided, transfers between
-  /// non-adjacent processors become store-and-forward chains along the
-  /// routed path, each hop occupying its own pair of ports (the §4.3
-  /// extension).  The table must outlive the engine, as must the graph
-  /// and the platform.
-  EftEngine(const TaskGraph& graph, const Platform& platform, Model model,
+  /// Schedules under `model`'s rules.  `routing` is optional (may be
+  /// null): when provided, transfers between non-adjacent processors
+  /// become store-and-forward chains along the routed path, each hop
+  /// occupying its own pair of ports (the §4.3 extension).  The table
+  /// must outlive the engine, as must the graph and the platform.
+  EftEngine(const TaskGraph& graph, const Platform& platform, CommModel model,
             const RoutingTable* routing = nullptr);
 
   /// Tentative placement of `v` on `proc`; requires all predecessors of
@@ -150,12 +158,6 @@ class EftEngine {
   /// Bulk-exports the engine's arena-backed placement and comm records
   /// through Schedule's vector constructor (no per-record push_back).
   [[nodiscard]] Schedule build_schedule() const;
-
-  [[nodiscard]] const TaskGraph& graph() const noexcept { return graph_; }
-  [[nodiscard]] const Platform& platform() const noexcept {
-    return platform_;
-  }
-  [[nodiscard]] Model model() const noexcept { return model_; }
 
  private:
   /// One predecessor of the task under evaluation, flattened into the
@@ -201,7 +203,7 @@ class EftEngine {
 
   const TaskGraph& graph_;
   const Platform& platform_;
-  Model model_;
+  CommModel model_;
   const RoutingTable* routing_;
   std::size_t np_ = 0;  ///< processor count
   const double* link_data_ = nullptr;   ///< row-major p x p link matrix

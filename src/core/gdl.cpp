@@ -9,7 +9,7 @@
 namespace oneport {
 
 Schedule gdl(const TaskGraph& graph, const Platform& platform,
-             const GdlOptions& options) {
+             const EftOptions& options) {
   OP_REQUIRE(graph.finalized(), "graph must be finalized");
   // Static levels: computation only (GDL charges communications through
   // the DA term, not the level).

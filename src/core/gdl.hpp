@@ -18,13 +18,8 @@
 
 namespace oneport {
 
-struct GdlOptions {
-  EftEngine::Model model = EftEngine::Model::kOnePort;
-  const RoutingTable* routing = nullptr;
-};
-
 /// Runs GDL and returns a complete schedule.
 [[nodiscard]] Schedule gdl(const TaskGraph& graph, const Platform& platform,
-                           const GdlOptions& options = {});
+                           const EftOptions& options = {});
 
 }  // namespace oneport

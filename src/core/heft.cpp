@@ -9,9 +9,21 @@
 namespace oneport {
 
 Schedule heft(const TaskGraph& graph, const Platform& platform,
-              const HeftOptions& options) {
+              const EftOptions& options) {
   OP_REQUIRE(graph.finalized(), "graph must be finalized");
-  const std::vector<double> bl = averaged_bottom_levels(graph, platform);
+  return priority_list_schedule(
+      graph, platform, averaged_bottom_levels(graph, platform), {}, options);
+}
+
+Schedule priority_list_schedule(const TaskGraph& graph,
+                                const Platform& platform,
+                                const std::vector<double>& bottom_levels,
+                                const std::vector<ProcId>& pinned,
+                                const EftOptions& options) {
+  OP_REQUIRE(bottom_levels.size() == graph.num_tasks(),
+             "bottom level arity mismatch");
+  OP_REQUIRE(pinned.empty() || pinned.size() == graph.num_tasks(),
+             "pinned arity mismatch");
   EftEngine engine(graph, platform, options.model, options.routing);
 
   // Ready queue as a binary max-heap on the priority order.  The order
@@ -19,7 +31,7 @@ Schedule heft(const TaskGraph& graph, const Platform& platform,
   // that extracts the current maximum dequeues the exact same sequence;
   // the heap just does it in O(log n) instead of the O(n) memmove a
   // sorted vector pays per insertion.
-  const PriorityOrder higher_priority{&bl};
+  const PriorityOrder higher_priority{&bottom_levels};
   const auto lower_priority = [&higher_priority](TaskId a, TaskId b) {
     return higher_priority(b, a);
   };
@@ -29,12 +41,19 @@ Schedule heft(const TaskGraph& graph, const Platform& platform,
   }
   std::make_heap(ready.begin(), ready.end(), lower_priority);
 
+  Evaluation scratch;
   std::size_t scheduled = 0;
   while (!ready.empty()) {
     std::pop_heap(ready.begin(), ready.end(), lower_priority);
     const TaskId v = ready.back();
     ready.pop_back();
-    engine.commit(engine.evaluate_best(v));
+    const ProcId proc = pinned.empty() ? -1 : pinned[v];
+    if (proc < 0) {
+      engine.commit(engine.evaluate_best(v));
+    } else {
+      engine.evaluate_into(v, proc, scratch);
+      engine.commit(scratch);
+    }
     ++scheduled;
     // commit() maintains the engine's indegree counters, so a successor
     // is ready exactly when its last predecessor was just committed.
@@ -46,8 +65,8 @@ Schedule heft(const TaskGraph& graph, const Platform& platform,
     }
   }
   OP_ASSERT(scheduled == graph.num_tasks(),
-            "HEFT scheduled " << scheduled << " of " << graph.num_tasks()
-                              << " tasks");
+            "priority list scheduled " << scheduled << " of "
+                                       << graph.num_tasks() << " tasks");
   return engine.build_schedule();
 }
 

@@ -9,21 +9,32 @@
 // processor also greedily reserves a send-port/receive-port slot for every
 // incoming message, so the chosen finish time accounts for communication
 // contention.
+//
+// HEFT's priority loop is priority_list_schedule.  It is also the loop of
+// the heuristics that fix some processors in advance: CPOP pins its
+// critical tasks to one processor, and ILHA's fixed-allocation rebuild
+// (§4.4) pins every task.
 #pragma once
+
+#include <vector>
 
 #include "core/eft_engine.hpp"
 #include "sched/schedule.hpp"
 
 namespace oneport {
 
-struct HeftOptions {
-  EftEngine::Model model = EftEngine::Model::kOnePort;
-  /// Optional routing table for sparse networks (must outlive the call).
-  const RoutingTable* routing = nullptr;
-};
-
 /// Runs HEFT and returns a complete schedule.
 [[nodiscard]] Schedule heft(const TaskGraph& graph, const Platform& platform,
-                            const HeftOptions& options = {});
+                            const EftOptions& options = {});
+
+/// HEFT's list scheduler.  Commits the ready task of highest priority
+/// (PriorityOrder over `bottom_levels`) until none is left: on processor
+/// pinned[v] when that entry is at least 0, else on the processor with
+/// the earliest finish time.  An empty `pinned` pins no task; otherwise
+/// it holds one entry per task, and -1 means "earliest finish".
+[[nodiscard]] Schedule priority_list_schedule(
+    const TaskGraph& graph, const Platform& platform,
+    const std::vector<double>& bottom_levels,
+    const std::vector<ProcId>& pinned, const EftOptions& options);
 
 }  // namespace oneport

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/heft.hpp"
 #include "core/priorities.hpp"
 #include "platform/load_balance.hpp"
 #include "util/error.hpp"
@@ -215,41 +216,23 @@ Schedule ilha(const TaskGraph& graph, const Platform& platform,
 Schedule reschedule_fixed_allocation(const TaskGraph& graph,
                                      const Platform& platform,
                                      const std::vector<ProcId>& allocation,
-                                     EftEngine::Model model,
+                                     CommModel model,
                                      const RoutingTable* routing) {
   OP_REQUIRE(graph.finalized(), "graph must be finalized");
   OP_REQUIRE(allocation.size() == graph.num_tasks(),
              "allocation arity mismatch");
-  const std::vector<double> bl = averaged_bottom_levels(graph, platform);
-  const PriorityOrder higher_priority{&bl};
-  EftEngine engine(graph, platform, model, routing);
-
-  std::vector<TaskId> ready;
-  for (TaskId v = 0; v < graph.num_tasks(); ++v) {
-    if (engine.ready(v)) ready.push_back(v);
+  // The priority loop reads a negative entry as "earliest finish", so an
+  // entry off the platform must be rejected here.
+  for (const ProcId p : allocation) {
+    OP_REQUIRE(p >= 0 && p < platform.num_processors(),
+               "allocation names processor " << p << " outside [0, "
+                                             << platform.num_processors()
+                                             << ")");
   }
-  std::sort(ready.begin(), ready.end(), higher_priority);
-
-  // Consume through a cursor instead of erasing the front (that memmove
-  // turns the loop quadratic); released tasks insert by priority into the
-  // unconsumed suffix, which holds exactly the tasks a front-erasing list
-  // would hold, so the commit order is identical.
-  Evaluation scratch;
-  std::size_t cursor = 0;
-  while (cursor < ready.size()) {
-    const TaskId v = ready[cursor++];
-    engine.evaluate_into(v, allocation[v], scratch);
-    engine.commit(scratch);
-    for (const EdgeRef& e : graph.successors(v)) {
-      if (engine.ready(e.task)) {
-        const auto pos = std::lower_bound(
-            ready.begin() + static_cast<std::ptrdiff_t>(cursor), ready.end(),
-            e.task, higher_priority);
-        ready.insert(pos, e.task);
-      }
-    }
-  }
-  return engine.build_schedule();
+  return priority_list_schedule(graph, platform,
+                                averaged_bottom_levels(graph, platform),
+                                allocation,
+                                {.model = model, .routing = routing});
 }
 
 }  // namespace oneport

@@ -21,7 +21,8 @@
 //     tasks that cost exactly one message;
 //   * reschedule_comms -- "third step": keep only the allocation and
 //     rebuild all dates/messages with a fixed-allocation list scheduler
-//     (see reschedule_fixed_allocation).
+//     (reschedule_fixed_allocation: HEFT's priority loop with every task
+//     pinned).
 #pragma once
 
 #include "core/eft_engine.hpp"
@@ -30,7 +31,7 @@
 namespace oneport {
 
 struct IlhaOptions {
-  EftEngine::Model model = EftEngine::Model::kOnePort;
+  CommModel model = CommModel::kOnePort;
   /// Chunk size; clamped below to the processor count (the paper: "B must
   /// be at least equal to the number of processors").  The paper's
   /// experiments use B = 38 (perfect balance), 20, or 4 depending on the
@@ -55,12 +56,15 @@ struct IlhaOptions {
 
 /// Greedy list scheduler for a *fixed* allocation: tasks keep their
 /// assigned processors, all dates and messages are rebuilt in priority
-/// order with earliest-fit port reservations.  (Scheduling communications
-/// optimally for a fixed allocation is NP-complete -- Theorem 2 -- hence
-/// greedy.)  Useful on its own for replaying external allocations.
+/// order with earliest-fit port reservations -- HEFT's priority loop
+/// (priority_list_schedule) with every task pinned.  (Scheduling
+/// communications optimally for a fixed allocation is NP-complete --
+/// Theorem 2 -- hence greedy.)  Useful on its own for replaying external
+/// allocations.  Throws std::invalid_argument unless `allocation` holds
+/// one processor in [0, p) per task.
 [[nodiscard]] Schedule reschedule_fixed_allocation(
     const TaskGraph& graph, const Platform& platform,
-    const std::vector<ProcId>& allocation, EftEngine::Model model,
+    const std::vector<ProcId>& allocation, CommModel model,
     const RoutingTable* routing = nullptr);
 
 }  // namespace oneport

@@ -20,7 +20,7 @@
 namespace oneport {
 
 struct MinMinOptions {
-  EftEngine::Model model = EftEngine::Model::kOnePort;
+  CommModel model = CommModel::kOnePort;
   /// false: min-min; true: max-min.
   bool max_min = false;
   const RoutingTable* routing = nullptr;

@@ -13,40 +13,36 @@ namespace {
 
 /// A heuristic family, run under the model its registry row hands it.
 using Heuristic = Schedule (*)(const TaskGraph&, const Platform&,
-                               EftEngine::Model, const SchedulerConfig&);
+                               CommModel, const SchedulerConfig&);
 
 constexpr Heuristic kHeft = [](const TaskGraph& g, const Platform& p,
-                               EftEngine::Model model,
-                               const SchedulerConfig& config) {
+                               CommModel model, const SchedulerConfig& config) {
   return heft(g, p, {.model = model, .routing = config.routing});
 };
 constexpr Heuristic kIlha = [](const TaskGraph& g, const Platform& p,
-                               EftEngine::Model model,
-                               const SchedulerConfig& config) {
+                               CommModel model, const SchedulerConfig& config) {
   return ilha(g, p,
               {.model = model,
                .chunk_size = config.ilha_chunk_size,
                .routing = config.routing});
 };
 constexpr Heuristic kMinMin = [](const TaskGraph& g, const Platform& p,
-                                 EftEngine::Model model,
+                                 CommModel model,
                                  const SchedulerConfig& config) {
   return min_min(g, p, {.model = model, .routing = config.routing});
 };
 constexpr Heuristic kMaxMin = [](const TaskGraph& g, const Platform& p,
-                                 EftEngine::Model model,
+                                 CommModel model,
                                  const SchedulerConfig& config) {
   return min_min(g, p,
                  {.model = model, .max_min = true, .routing = config.routing});
 };
 constexpr Heuristic kGdl = [](const TaskGraph& g, const Platform& p,
-                              EftEngine::Model model,
-                              const SchedulerConfig& config) {
+                              CommModel model, const SchedulerConfig& config) {
   return gdl(g, p, {.model = model, .routing = config.routing});
 };
 constexpr Heuristic kCpop = [](const TaskGraph& g, const Platform& p,
-                               EftEngine::Model model,
-                               const SchedulerConfig& config) {
+                               CommModel model, const SchedulerConfig& config) {
   return cpop(g, p, {.model = model, .routing = config.routing});
 };
 
@@ -89,12 +85,9 @@ constexpr Row kRows[] = {
 std::vector<SchedulerEntry> builtin_schedulers(const SchedulerConfig& config) {
   std::vector<SchedulerEntry> entries;
   for (const Row& row : kRows) {
-    const EftEngine::Model model = row.model == CommModel::kOnePort
-                                       ? EftEngine::Model::kOnePort
-                                       : EftEngine::Model::kMacroDataflow;
     entries.push_back({row.name, row.description, row.model,
-                       [run = row.run, model, config](const TaskGraph& g,
-                                                      const Platform& p) {
+                       [run = row.run, model = row.model, config](
+                           const TaskGraph& g, const Platform& p) {
                          return run(g, p, model, config);
                        }});
   }

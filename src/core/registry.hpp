@@ -9,7 +9,6 @@
 #include "graph/task_graph.hpp"
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
-#include "sched/replay.hpp"
 #include "sched/schedule.hpp"
 
 namespace oneport {

@@ -14,7 +14,8 @@
 // the order of tasks on each processor (by start time), the order of
 // messages on each send port and each receive port (by start time).
 // Everything else (all dates) is recomputed by longest-path over the event
-// graph induced by those orders.
+// graph induced by those orders, under the rules of a CommModel
+// (sched/schedule.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,11 +25,6 @@
 #include "sched/schedule.hpp"
 
 namespace oneport {
-
-enum class CommModel {
-  kMacroDataflow,  ///< unlimited ports, contention-free network (§2.1)
-  kOnePort,        ///< one send + one receive port per processor (§2.3)
-};
 
 /// Recomputes all dates of `schedule` as-soon-as-possible under `model`,
 /// keeping its allocation and resource orders.  When replaying under

@@ -2,7 +2,8 @@
 // every inter-processor message travels.
 //
 // A Schedule is a passive value object; validity with respect to a graph,
-// a platform, and a communication model is checked by sched/validate.hpp.
+// a platform, and a communication model (CommModel, the one type every
+// layer names the model by) is checked by sched/validate.hpp.
 #pragma once
 
 #include <vector>
@@ -11,6 +12,11 @@
 #include "platform/platform.hpp"
 
 namespace oneport {
+
+enum class CommModel {
+  kMacroDataflow,  ///< unlimited ports, contention-free network (§2.1)
+  kOnePort,        ///< one send + one receive port per processor (§2.3)
+};
 
 struct TaskPlacement {
   ProcId proc = -1;

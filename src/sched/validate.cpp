@@ -115,13 +115,13 @@ class Checker {
   Checker(const Schedule& s, const TaskGraph& g, const Platform& p)
       : sched_(s), graph_(g), platform_(p) {}
 
-  ValidationResult run(bool one_port) {
+  ValidationResult run(CommModel model) {
     check_placements();
     // A size mismatch makes every further check index out of range.
     if (sched_.num_tasks() != graph_.num_tasks()) return std::move(result_);
     check_compute_exclusivity();
     check_edges_and_comms();
-    if (one_port) check_ports();
+    if (model == CommModel::kOnePort) check_ports();
     return std::move(result_);
   }
 
@@ -335,16 +335,21 @@ class Checker {
 
 }  // namespace
 
+ValidationResult validate(const Schedule& schedule, const TaskGraph& graph,
+                          const Platform& platform, CommModel model) {
+  return Checker(schedule, graph, platform).run(model);
+}
+
 ValidationResult validate_macro_dataflow(const Schedule& schedule,
                                          const TaskGraph& graph,
                                          const Platform& platform) {
-  return Checker(schedule, graph, platform).run(/*one_port=*/false);
+  return validate(schedule, graph, platform, CommModel::kMacroDataflow);
 }
 
 ValidationResult validate_one_port(const Schedule& schedule,
                                    const TaskGraph& graph,
                                    const Platform& platform) {
-  return Checker(schedule, graph, platform).run(/*one_port=*/true);
+  return validate(schedule, graph, platform, CommModel::kOnePort);
 }
 
 }  // namespace oneport

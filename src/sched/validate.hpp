@@ -42,6 +42,13 @@ struct ValidationResult {
   [[nodiscard]] std::string message() const;
 };
 
+/// Checks M1-M5, plus O1-O2 under CommModel::kOnePort: the rules of the
+/// model the schedule was built under.
+[[nodiscard]] ValidationResult validate(const Schedule& schedule,
+                                        const TaskGraph& graph,
+                                        const Platform& platform,
+                                        CommModel model);
+
 /// Checks M1-M5.
 [[nodiscard]] ValidationResult validate_macro_dataflow(
     const Schedule& schedule, const TaskGraph& graph,

@@ -59,7 +59,7 @@ TEST(Metrics, StatsAccounting) {
 TEST(Gantt, AsciiShowsComputeAndPorts) {
   const TaskGraph g = testbeds::make_fork(1.0, {1.0, 1.0}, {1.0, 1.0});
   const Platform p = make_homogeneous_platform(2, 1.0, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   std::ostringstream oss;
   write_gantt_ascii(oss, s, p, {.width = 40});
   const std::string out = oss.str();
@@ -80,7 +80,7 @@ TEST(Gantt, AsciiWithoutPorts) {
 TEST(Gantt, SvgContainsRectangles) {
   const TaskGraph g = testbeds::make_fork(1.0, {1.0, 1.0}, {1.0, 1.0});
   const Platform p = make_homogeneous_platform(2, 1.0, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   std::ostringstream oss;
   write_gantt_svg(oss, s, p);
   const std::string out = oss.str();

@@ -39,12 +39,12 @@ TEST(MinMin, PrefersShortTasksFirst) {
 TEST(MinMin, ValidOnTestbedsBothModels) {
   const Platform p = make_paper_platform();
   const TaskGraph g = testbeds::make_lu(12, 10.0);
-  const Schedule one = min_min(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule one = min_min(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(one, g, p).ok());
   const Schedule macro =
-      min_min(g, p, {.model = EftEngine::Model::kMacroDataflow});
+      min_min(g, p, {.model = CommModel::kMacroDataflow});
   EXPECT_TRUE(validate_macro_dataflow(macro, g, p).ok());
-  const Schedule max = min_min(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule max = min_min(g, p, {.model = CommModel::kOnePort,
                                       .max_min = true});
   EXPECT_TRUE(validate_one_port(max, g, p).ok());
 }
@@ -53,7 +53,7 @@ TEST(MinMin, SupportsRouting) {
   const TaskGraph g = testbeds::make_stencil(6, 4.0);
   const RoutedPlatform ring = make_ring_platform({1, 1, 2, 2}, 1.0);
   const Schedule s = min_min(g, ring.platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .routing = &ring.routing});
   EXPECT_TRUE(validate_one_port(s, g, ring.platform).ok());
 }
@@ -71,10 +71,10 @@ TEST(Gdl, FavorsFasterProcessors) {
 TEST(Gdl, ValidOnTestbedsBothModels) {
   const Platform p = make_paper_platform();
   const TaskGraph g = testbeds::make_doolittle(12, 10.0);
-  const Schedule one = gdl(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule one = gdl(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(one, g, p).ok());
   const Schedule macro =
-      gdl(g, p, {.model = EftEngine::Model::kMacroDataflow});
+      gdl(g, p, {.model = CommModel::kMacroDataflow});
   EXPECT_TRUE(validate_macro_dataflow(macro, g, p).ok());
 }
 
@@ -92,7 +92,7 @@ TEST(Autotune, PicksTheBestCandidate) {
   const TaskGraph g = testbeds::make_lu(20, 10.0);
   const Platform p = make_paper_platform();
   const IlhaAutotuneResult result = ilha_autotune(
-      g, p, {.model = EftEngine::Model::kOnePort}, {10, 20, 38});
+      g, p, {.model = CommModel::kOnePort}, {10, 20, 38});
   ASSERT_EQ(result.trials.size(), 3u);
   for (const auto& [b, makespan] : result.trials) {
     EXPECT_GE(makespan, result.makespan - 1e-9)

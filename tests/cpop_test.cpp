@@ -24,7 +24,7 @@ TEST(Cpop, CriticalPathTasksShareAProcessor) {
   g.finalize();
 
   const Platform p({1.0, 2.0, 2.0}, 1.0);
-  const Schedule s = cpop(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = cpop(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
   const ProcId cp_proc = s.task(chain[0]).proc;
   EXPECT_EQ(cp_proc, 0);  // fastest processor executes the critical path
@@ -35,11 +35,11 @@ TEST(Cpop, ValidOnTestbeds) {
   const Platform p = make_paper_platform();
   const TaskGraph lu = testbeds::make_lu(12, 10.0);
   EXPECT_TRUE(validate_one_port(
-                  cpop(lu, p, {.model = EftEngine::Model::kOnePort}), lu, p)
+                  cpop(lu, p, {.model = CommModel::kOnePort}), lu, p)
                   .ok());
   EXPECT_TRUE(
       validate_macro_dataflow(
-          cpop(lu, p, {.model = EftEngine::Model::kMacroDataflow}), lu, p)
+          cpop(lu, p, {.model = CommModel::kMacroDataflow}), lu, p)
           .ok());
 }
 
@@ -49,7 +49,7 @@ TEST(Cpop, DegeneratesOnAllCriticalGraphs) {
   // uniform wavefront graphs (and why the paper's baselines matter).
   const TaskGraph g = testbeds::make_laplace(6, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = cpop(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = cpop(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
   EXPECT_EQ(s.num_comms(), 0u);
   for (TaskId v = 1; v < g.num_tasks(); ++v) {

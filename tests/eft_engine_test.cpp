@@ -29,7 +29,7 @@ struct Fixture {
 
 TEST(EftEngine, EvaluateDoesNotMutate) {
   Fixture f;
-  EftEngine engine(f.graph, f.platform, EftEngine::Model::kOnePort);
+  EftEngine engine(f.graph, f.platform, CommModel::kOnePort);
   engine.commit(engine.evaluate(0, 0));
   const Evaluation once = engine.evaluate(1, 1);
   const Evaluation twice = engine.evaluate(1, 1);
@@ -43,7 +43,7 @@ TEST(EftEngine, EvaluateDoesNotMutate) {
 
 TEST(EftEngine, SameProcessorNeedsNoMessage) {
   Fixture f;
-  EftEngine engine(f.graph, f.platform, EftEngine::Model::kOnePort);
+  EftEngine engine(f.graph, f.platform, CommModel::kOnePort);
   engine.commit(engine.evaluate(0, 0));
   const Evaluation eval = engine.evaluate(1, 0);
   EXPECT_TRUE(eval.comms.empty());
@@ -61,7 +61,7 @@ TEST(EftEngine, OnePortMessagesWithinOneEvaluationSerialize) {
   g.add_edge(1, 2, 2.0);
   g.finalize();
   const Platform p({1.0, 1.0, 1.0}, 1.0);
-  EftEngine engine(g, p, EftEngine::Model::kOnePort);
+  EftEngine engine(g, p, CommModel::kOnePort);
   engine.commit(engine.evaluate(0, 0));
   engine.commit(engine.evaluate(1, 1));
   const Evaluation eval = engine.evaluate(2, 2);
@@ -80,7 +80,7 @@ TEST(EftEngine, MacroMessagesWithinOneEvaluationOverlap) {
   g.add_edge(1, 2, 2.0);
   g.finalize();
   const Platform p({1.0, 1.0, 1.0}, 1.0);
-  EftEngine engine(g, p, EftEngine::Model::kMacroDataflow);
+  EftEngine engine(g, p, CommModel::kMacroDataflow);
   engine.commit(engine.evaluate(0, 0));
   engine.commit(engine.evaluate(1, 1));
   const Evaluation eval = engine.evaluate(2, 2);
@@ -89,7 +89,7 @@ TEST(EftEngine, MacroMessagesWithinOneEvaluationOverlap) {
 
 TEST(EftEngine, CommitReservesPorts) {
   Fixture f;
-  EftEngine engine(f.graph, f.platform, EftEngine::Model::kOnePort);
+  EftEngine engine(f.graph, f.platform, CommModel::kOnePort);
   engine.commit(engine.evaluate(0, 0));
   engine.commit(engine.evaluate(1, 1));  // message on P0.send during [1,3)
   // Task 2 on P2 must wait for P0's send port.
@@ -101,7 +101,7 @@ TEST(EftEngine, CommitReservesPorts) {
 
 TEST(EftEngine, GuardsAgainstMisuse) {
   Fixture f;
-  EftEngine engine(f.graph, f.platform, EftEngine::Model::kOnePort);
+  EftEngine engine(f.graph, f.platform, CommModel::kOnePort);
   EXPECT_THROW(engine.evaluate(0, 99), std::invalid_argument);
   EXPECT_THROW(engine.evaluate(1, 0), std::invalid_argument);  // parent not
                                                                // scheduled
@@ -113,7 +113,7 @@ TEST(EftEngine, GuardsAgainstMisuse) {
 
 TEST(EftEngine, ReadyTracksPredecessors) {
   Fixture f;
-  EftEngine engine(f.graph, f.platform, EftEngine::Model::kOnePort);
+  EftEngine engine(f.graph, f.platform, CommModel::kOnePort);
   EXPECT_TRUE(engine.ready(0));
   EXPECT_FALSE(engine.ready(1));
   engine.commit(engine.evaluate(0, 0));
@@ -122,7 +122,7 @@ TEST(EftEngine, ReadyTracksPredecessors) {
 
 TEST(EftEngine, BuildScheduleIsValid) {
   Fixture f;
-  EftEngine engine(f.graph, f.platform, EftEngine::Model::kOnePort);
+  EftEngine engine(f.graph, f.platform, CommModel::kOnePort);
   for (TaskId v = 0; v < 3; ++v) engine.commit(engine.evaluate_best(v));
   const Schedule s = engine.build_schedule();
   EXPECT_TRUE(validate_one_port(s, f.graph, f.platform).ok());
@@ -132,7 +132,7 @@ TEST(EftEngine, RejectsMismatchedRoutingTable) {
   Fixture f;
   const RoutedPlatform ring = make_ring_platform({1, 1, 1, 1}, 1.0);  // p=4
   EXPECT_THROW(
-      EftEngine(f.graph, f.platform, EftEngine::Model::kOnePort,
+      EftEngine(f.graph, f.platform, CommModel::kOnePort,
                 &ring.routing),
       std::invalid_argument);
 }
@@ -166,7 +166,7 @@ struct ScanTally {
 /// one wrong decision does not steer the rest of the run.
 ScanTally compare_with_exhaustive_scan(const TaskGraph& graph,
                                        const Platform& platform,
-                                       EftEngine::Model model,
+                                       CommModel model,
                                        const RoutingTable* routing) {
   EftEngine engine(graph, platform, model, routing);
   ScanTally tally;
@@ -192,12 +192,12 @@ ScanTally compare_with_exhaustive_scan(const TaskGraph& graph,
 TEST(EftEngineExactPruning, MatchesExhaustiveScanOnRoutedScaleInstances) {
   for (const testsupport::Scenario& s :
        testsupport::routed_scale_scenarios()) {
-    for (const EftEngine::Model model :
-         {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
+    for (const CommModel model :
+         {CommModel::kOnePort, CommModel::kMacroDataflow}) {
       const ScanTally tally = compare_with_exhaustive_scan(
           s.graph, s.platform, model, s.routing_ptr());
       EXPECT_EQ(tally.differing, 0u)
-          << s.description << (model == EftEngine::Model::kOnePort
+          << s.description << (model == CommModel::kOnePort
                                    ? " one-port"
                                    : " macro-dataflow");
       EXPECT_EQ(tally.decisions, s.graph.num_tasks());
@@ -207,8 +207,8 @@ TEST(EftEngineExactPruning, MatchesExhaustiveScanOnRoutedScaleInstances) {
 
 TEST(EftEngineExactPruning, MatchesExhaustiveScanOnDirectLinks) {
   for (const testsupport::Scenario& s : testsupport::scenario_sweep(7301, 80)) {
-    for (const EftEngine::Model model :
-         {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
+    for (const CommModel model :
+         {CommModel::kOnePort, CommModel::kMacroDataflow}) {
       const ScanTally tally =
           compare_with_exhaustive_scan(s.graph, s.platform, model, nullptr);
       EXPECT_EQ(tally.differing, 0u) << s.description;
@@ -235,8 +235,8 @@ TEST(EftEngineExactPruning, BrokenTableBuildsAndThrowsOnlyOnUse) {
   g.add_task(1.0);
   g.add_edge(0, 1, 2.0);
   g.finalize();
-  for (const EftEngine::Model model :
-       {EftEngine::Model::kOnePort, EftEngine::Model::kMacroDataflow}) {
+  for (const CommModel model :
+       {CommModel::kOnePort, CommModel::kMacroDataflow}) {
     std::optional<EftEngine> engine;
     ASSERT_NO_THROW(engine.emplace(g, ring.platform, model, &*broken));
     engine->commit(engine->evaluate(0, 0));

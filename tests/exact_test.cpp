@@ -87,7 +87,7 @@ TEST(ForkOptimal, MatchesHeuristicLowerBound) {
   const ForkOptimum opt = solve_fork_one_port_optimal(inst);
   const TaskGraph g = fork_instance_graph(inst);
   const Platform p = make_homogeneous_platform(6, 1.0, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
   EXPECT_LE(opt.makespan, s.makespan() + 1e-9);
   const RealizedFork realized = realize_fork_schedule(inst, opt);

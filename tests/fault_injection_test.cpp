@@ -59,7 +59,7 @@ Scenario star_scenario() {
 
 Schedule star_schedule(const Scenario& scenario) {
   return reschedule_fixed_allocation(scenario.graph, scenario.platform,
-                                     {1, 2}, EftEngine::Model::kOnePort,
+                                     {1, 2}, CommModel::kOnePort,
                                      scenario.routing_ptr());
 }
 
@@ -137,7 +137,7 @@ TEST(RingFaults, ReroutedChainPassesValidatorButFailsRouting) {
   // the routing-aware P5 conformance check can notice the deviation.
   const Scenario scenario = ring_scenario();
   const Schedule valid = reschedule_fixed_allocation(
-      scenario.graph, scenario.platform, {0, 2}, EftEngine::Model::kOnePort,
+      scenario.graph, scenario.platform, {0, 2}, CommModel::kOnePort,
       scenario.routing_ptr());
   ASSERT_TRUE(check_all_invariants(scenario, valid, CommModel::kOnePort)
                   .empty());
@@ -189,7 +189,7 @@ class ForkJoinFaults : public ::testing::Test {
   ForkJoinFaults()
       : scenario_(forkjoin_scenario()),
         valid_(heft(scenario_.graph, scenario_.platform,
-                    {.model = EftEngine::Model::kOnePort})) {}
+                    {.model = CommModel::kOnePort})) {}
 
   Scenario scenario_;
   Schedule valid_;

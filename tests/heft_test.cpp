@@ -26,7 +26,7 @@ TEST(Heft, SingleTaskGoesToFastestProcessor) {
   g.add_task(4.0);
   g.finalize();
   const Platform p({3.0, 1.0, 2.0}, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   EXPECT_EQ(s.task(0).proc, 1);
   EXPECT_DOUBLE_EQ(s.makespan(), 4.0);
 }
@@ -37,7 +37,7 @@ TEST(Heft, ChainStaysOnOneProcessorWhenCommsAreExpensive) {
   for (TaskId v = 0; v + 1 < 5; ++v) g.add_edge(v, v + 1, 100.0);
   g.finalize();
   const Platform p({1.0, 1.0, 1.0}, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   for (TaskId v = 1; v < 5; ++v) EXPECT_EQ(s.task(v).proc, s.task(0).proc);
   EXPECT_EQ(s.num_comms(), 0u);
   EXPECT_DOUBLE_EQ(s.makespan(), 5.0);
@@ -48,7 +48,7 @@ TEST(Heft, IndependentTasksSpreadAcrossProcessors) {
   for (int i = 0; i < 4; ++i) g.add_task(1.0);
   g.finalize();
   const Platform p({1.0, 1.0}, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   // Two tasks per processor, makespan 2.
   EXPECT_DOUBLE_EQ(s.makespan(), 2.0);
 }
@@ -67,7 +67,7 @@ TEST(Heft, MacroModelOnSection2Fork) {
   const TaskGraph g = testbeds::make_fork(1.0, std::vector<double>(6, 1.0),
                                           std::vector<double>(6, 1.0));
   const Platform p = make_homogeneous_platform(5, 1.0, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kMacroDataflow});
+  const Schedule s = heft(g, p, {.model = CommModel::kMacroDataflow});
   EXPECT_TRUE(validate_macro_dataflow(s, g, p).ok());
   EXPECT_DOUBLE_EQ(s.makespan(), 3.0);
 }
@@ -78,7 +78,7 @@ TEST(Heft, OnePortModelOnSection2Fork) {
   const TaskGraph g = testbeds::make_fork(1.0, std::vector<double>(6, 1.0),
                                           std::vector<double>(6, 1.0));
   const Platform p = make_homogeneous_platform(5, 1.0, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
   EXPECT_DOUBLE_EQ(s.makespan(), 5.0);
 }
@@ -94,7 +94,7 @@ TEST(Heft, InsertionBasedGapUse) {
   g.finalize();
   (void)heavy;
   const Platform p({1.0, 1.0}, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
   EXPECT_DOUBLE_EQ(s.makespan(), 10.0);
 }
@@ -106,14 +106,14 @@ TEST(Heft, ZeroWeightTasksAreLegal) {
   g.add_edge(0, 1, 1.0);
   g.finalize();
   const Platform p({1.0, 1.0}, 1.0);
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
 }
 
 TEST(Heft, ParentsBeforeChildrenAlways) {
   const TaskGraph g = testbeds::make_laplace(12, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   for (TaskId u = 0; u < g.num_tasks(); ++u) {
     for (const EdgeRef& e : g.successors(u)) {
       EXPECT_GE(s.task(e.task).start, s.task(u).finish - 1e-9);
@@ -125,15 +125,15 @@ TEST(Heft, MakespanAboveAreaLowerBound) {
   // No schedule can beat total-work / aggregate-speed.
   const TaskGraph g = testbeds::make_lu(25, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   EXPECT_GE(s.makespan(), g.total_weight() / p.aggregate_speed() - 1e-9);
 }
 
 TEST(Heft, DeterministicAcrossRuns) {
   const TaskGraph g = testbeds::make_doolittle(15, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule a = heft(g, p, {.model = EftEngine::Model::kOnePort});
-  const Schedule b = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule a = heft(g, p, {.model = CommModel::kOnePort});
+  const Schedule b = heft(g, p, {.model = CommModel::kOnePort});
   EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
     EXPECT_EQ(a.task(v).proc, b.task(v).proc);

@@ -30,8 +30,8 @@ TaskGraph make_toy() {
 TEST(Ilha, ToyExampleReducesCommunications) {
   const TaskGraph g = make_toy();
   const Platform p = make_homogeneous_platform(2, 1.0, 1.0);
-  const Schedule hs = heft(g, p, {.model = EftEngine::Model::kOnePort});
-  const Schedule is = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule hs = heft(g, p, {.model = CommModel::kOnePort});
+  const Schedule is = ilha(g, p, {.model = CommModel::kOnePort,
                                   .chunk_size = 8});
   EXPECT_TRUE(validate_one_port(is, g, p).ok());
   // "the makespan is smaller, but also the number of communications has
@@ -46,7 +46,7 @@ TEST(Ilha, ToyExampleReducesCommunications) {
 TEST(Ilha, ToyExampleStep1Colocation) {
   const TaskGraph g = make_toy();
   const Platform p = make_homogeneous_platform(2, 1.0, 1.0);
-  const Schedule s = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule s = ilha(g, p, {.model = CommModel::kOnePort,
                                  .chunk_size = 8});
   // a-family with a0, b-family with b0.
   const ProcId pa = s.task(0).proc;
@@ -60,7 +60,7 @@ TEST(Ilha, ChunkSizeClampedToProcessorCount) {
   // "B must be at least equal to the number of processors."
   const TaskGraph g = testbeds::make_laplace(8, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule s = ilha(g, p, {.model = CommModel::kOnePort,
                                  .chunk_size = 1});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
 }
@@ -83,7 +83,7 @@ TEST(Ilha, QuotaLimitsStep1Colocation) {
   }
   g.finalize();
   const Platform p = make_homogeneous_platform(4, 1.0, 1.0);
-  const Schedule s = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule s = ilha(g, p, {.model = CommModel::kOnePort,
                                  .chunk_size = 16});
   EXPECT_TRUE(validate_one_port(s, g, p).ok());
   std::vector<int> count(4, 0);
@@ -97,7 +97,7 @@ TEST(Ilha, QuotaLimitsStep1Colocation) {
 TEST(Ilha, MacroModelValidates) {
   const TaskGraph g = testbeds::make_lu(15, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = ilha(g, p, {.model = EftEngine::Model::kMacroDataflow,
+  const Schedule s = ilha(g, p, {.model = CommModel::kMacroDataflow,
                                  .chunk_size = 38});
   EXPECT_TRUE(validate_macro_dataflow(s, g, p).ok());
 }
@@ -108,7 +108,7 @@ TEST(IlhaVariants, AllValidate) {
   for (const bool quota : {false, true}) {
     for (const bool scan : {false, true}) {
       for (const bool resched : {false, true}) {
-        const Schedule s = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+        const Schedule s = ilha(g, p, {.model = CommModel::kOnePort,
                                        .chunk_size = 20,
                                        .quota_in_step2 = quota,
                                        .single_comm_scan = scan,
@@ -124,9 +124,9 @@ TEST(IlhaVariants, RescheduleNeverHurts) {
   // ilha() only adopts the rebuilt schedule when it improves.
   const TaskGraph g = testbeds::make_doolittle(20, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule base = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule base = ilha(g, p, {.model = CommModel::kOnePort,
                                     .chunk_size = 20});
-  const Schedule resched = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule resched = ilha(g, p, {.model = CommModel::kOnePort,
                                        .chunk_size = 20,
                                        .reschedule_comms = true});
   EXPECT_LE(resched.makespan(), base.makespan() + 1e-9);
@@ -135,11 +135,11 @@ TEST(IlhaVariants, RescheduleNeverHurts) {
 TEST(RescheduleFixedAllocation, KeepsAllocation) {
   const TaskGraph g = testbeds::make_laplace(10, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   std::vector<ProcId> alloc(g.num_tasks());
   for (TaskId v = 0; v < g.num_tasks(); ++v) alloc[v] = s.task(v).proc;
   const Schedule r = reschedule_fixed_allocation(g, p, alloc,
-                                                 EftEngine::Model::kOnePort);
+                                                 CommModel::kOnePort);
   EXPECT_TRUE(validate_one_port(r, g, p).ok());
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
     EXPECT_EQ(r.task(v).proc, alloc[v]);
@@ -150,8 +150,22 @@ TEST(RescheduleFixedAllocation, ArityChecked) {
   const TaskGraph g = testbeds::make_laplace(4, 10.0);
   const Platform p = make_paper_platform();
   EXPECT_THROW(reschedule_fixed_allocation(g, p, {0, 1},
-                                           EftEngine::Model::kOnePort),
+                                           CommModel::kOnePort),
                std::invalid_argument);
+}
+
+TEST(RescheduleFixedAllocation, ProcessorRangeChecked) {
+  // -1 would read as "earliest finish" to the priority loop, so the
+  // rebuild must reject it up front, like any processor off the platform.
+  const TaskGraph g = testbeds::make_laplace(4, 10.0);
+  const Platform p = make_paper_platform();
+  for (const ProcId bad : {-1, p.num_processors()}) {
+    std::vector<ProcId> alloc(g.num_tasks(), 0);
+    alloc.back() = bad;
+    EXPECT_THROW(reschedule_fixed_allocation(g, p, alloc, CommModel::kOnePort),
+                 std::invalid_argument)
+        << "processor " << bad;
+  }
 }
 
 TEST(Ilha, DeterministicAcrossRuns) {

@@ -214,7 +214,7 @@ TaskGraph flip_graph() {
 std::string schedule_document() {
   const TaskGraph g = testbeds::make_lu(4, 10.0);
   const Schedule s =
-      heft(g, make_paper_platform(), {.model = EftEngine::Model::kOnePort});
+      heft(g, make_paper_platform(), {.model = CommModel::kOnePort});
   std::ostringstream os;
   write_schedule(os, s);
   return os.str();

@@ -30,10 +30,8 @@ TEST_P(SchedulerTestbedMatrix, ProducesValidSchedules) {
   const Schedule schedule = scheduler.run(graph, platform);
   ASSERT_TRUE(schedule.complete());
 
-  const bool one_port = scheduler.model == CommModel::kOnePort;
   const ValidationResult check =
-      one_port ? validate_one_port(schedule, graph, platform)
-               : validate_macro_dataflow(schedule, graph, platform);
+      validate(schedule, graph, platform, scheduler.model);
   ASSERT_TRUE(check.ok()) << check.message();
 
   // Area bound: total work cannot beat the aggregate speed.
@@ -42,13 +40,11 @@ TEST_P(SchedulerTestbedMatrix, ProducesValidSchedules) {
 
   // ASAP replay under the same model never worsens a valid schedule, and
   // the result still validates.
-  const CommModel model =
-      one_port ? CommModel::kOnePort : CommModel::kMacroDataflow;
-  const Schedule replayed = asap_replay(schedule, graph, platform, model);
+  const Schedule replayed =
+      asap_replay(schedule, graph, platform, scheduler.model);
   EXPECT_LE(replayed.makespan(), schedule.makespan() + 1e-6);
   const ValidationResult recheck =
-      one_port ? validate_one_port(replayed, graph, platform)
-               : validate_macro_dataflow(replayed, graph, platform);
+      validate(replayed, graph, platform, scheduler.model);
   EXPECT_TRUE(recheck.ok()) << recheck.message();
 }
 

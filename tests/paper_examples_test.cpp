@@ -26,14 +26,14 @@ class Section23Example : public ::testing::Test {
 
 TEST_F(Section23Example, MacroDataflowMakespanIsThree) {
   const Schedule s =
-      heft(graph, platform, {.model = EftEngine::Model::kMacroDataflow});
+      heft(graph, platform, {.model = CommModel::kMacroDataflow});
   EXPECT_TRUE(validate_macro_dataflow(s, graph, platform).ok());
   EXPECT_DOUBLE_EQ(s.makespan(), 3.0);
 }
 
 TEST_F(Section23Example, MacroAllocationCostsSixUnderOnePort) {
   const Schedule macro =
-      heft(graph, platform, {.model = EftEngine::Model::kMacroDataflow});
+      heft(graph, platform, {.model = CommModel::kMacroDataflow});
   const Schedule replayed =
       asap_replay(macro, graph, platform, CommModel::kOnePort);
   EXPECT_TRUE(validate_one_port(replayed, graph, platform).ok());
@@ -48,10 +48,10 @@ TEST_F(Section23Example, OnePortOptimumIsFive) {
 
 TEST_F(Section23Example, OnePortHeuristicsReachTheOptimum) {
   const Schedule h =
-      heft(graph, platform, {.model = EftEngine::Model::kOnePort});
+      heft(graph, platform, {.model = CommModel::kOnePort});
   EXPECT_DOUBLE_EQ(h.makespan(), 5.0);
   const Schedule i = ilha(graph, platform,
-                          {.model = EftEngine::Model::kOnePort,
+                          {.model = CommModel::kOnePort,
                            .chunk_size = 8});
   EXPECT_DOUBLE_EQ(i.makespan(), 5.0);
 }
@@ -75,8 +75,8 @@ TEST(Section44Toy, IlhaHalvesMessagesAtEqualOrBetterMakespan) {
   g.finalize();
   const Platform p = make_homogeneous_platform(2, 1.0, 1.0);
 
-  const Schedule hs = heft(g, p, {.model = EftEngine::Model::kOnePort});
-  const Schedule is = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule hs = heft(g, p, {.model = CommModel::kOnePort});
+  const Schedule is = ilha(g, p, {.model = CommModel::kOnePort,
                                   .chunk_size = 8});
   EXPECT_LE(is.makespan(), hs.makespan() + 1e-9);
   EXPECT_LT(is.num_comms(), hs.num_comms());
@@ -99,8 +99,8 @@ TEST(Section53, ForkJoinRatioApproachesItsCap) {
   // 1.53-1.58 and argues that is near-optimal.
   const Platform p = make_paper_platform();
   const TaskGraph g = testbeds::make_fork_join(150, 10.0);
-  const Schedule h = heft(g, p, {.model = EftEngine::Model::kOnePort});
-  const Schedule i = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule h = heft(g, p, {.model = CommModel::kOnePort});
+  const Schedule i = ilha(g, p, {.model = CommModel::kOnePort,
                                  .chunk_size = 38});
   const double cap = 1.0 * 6.0 / 10.0 + 1.0;
   for (const Schedule* s : {&h, &i}) {
@@ -118,7 +118,7 @@ TEST(Section53, LinearAlgebraKernelsLandInThePaperBand) {
   const Platform p = make_paper_platform();
   const TaskGraph lu = testbeds::make_lu(100, 10.0);
   const double r = analysis::speedup(
-      lu, p, ilha(lu, p, {.model = EftEngine::Model::kOnePort,
+      lu, p, ilha(lu, p, {.model = CommModel::kOnePort,
                           .chunk_size = 4}));
   EXPECT_GT(r, 3.5);
   EXPECT_LT(r, 6.5);
@@ -128,7 +128,7 @@ TEST(Section53, StencilIsCommBound) {
   const Platform p = make_paper_platform();
   const TaskGraph st = testbeds::make_stencil(60, 10.0);
   const double r = analysis::speedup(
-      st, p, ilha(st, p, {.model = EftEngine::Model::kOnePort,
+      st, p, ilha(st, p, {.model = CommModel::kOnePort,
                           .chunk_size = 38}));
   EXPECT_GT(r, 1.8);
   EXPECT_LT(r, 3.5);

@@ -133,9 +133,9 @@ TEST(PropertySweepExtended, HonorsEnvSeedCount) {
 }
 
 // Frozen-oracle pin: every (scenario, scheduler[, trace]) row of the
-// static, dynamic and heterogeneous-routed rotations must reproduce the
-// committed makespan and schedule digest exactly (tests/support/
-// frozen_oracle.hpp).  The table was recorded with the reference
+// static, dynamic, heterogeneous-routed, routed-scale and
+// fixed-allocation rotations must reproduce the committed makespan and
+// schedule digest exactly (tests/support/frozen_oracle.hpp).  The table was recorded with the reference
 // timeline, so this is the bit-identity differential against it, frozen.
 TEST(PropertySweepDifferential, SchedulesMatchFrozenOracle) {
   const std::vector<testsupport::FrozenRow> actual =

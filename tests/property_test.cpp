@@ -52,9 +52,7 @@ TEST_P(RandomWorkloadTest, AllSchedulersProduceValidSchedules) {
     const Schedule schedule = entry.run(graph, platform);
     ASSERT_TRUE(schedule.complete()) << entry.name;
     const ValidationResult check =
-        entry.model == CommModel::kOnePort
-            ? validate_one_port(schedule, graph, platform)
-            : validate_macro_dataflow(schedule, graph, platform);
+        validate(schedule, graph, platform, entry.model);
     ASSERT_TRUE(check.ok()) << entry.name << " seed=" << seed << "\n"
                             << check.message();
   }

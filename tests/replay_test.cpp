@@ -49,7 +49,7 @@ TEST(Replay, TightensPaddedSchedule) {
 TEST(Replay, NeverIncreasesValidOnePortMakespan) {
   const TaskGraph g = testbeds::make_lu(20, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   const Schedule r = asap_replay(s, g, p, CommModel::kOnePort);
   EXPECT_LE(r.makespan(), s.makespan() + 1e-6);
   EXPECT_TRUE(validate_one_port(r, g, p).ok());
@@ -61,7 +61,7 @@ TEST(Replay, MacroScheduleUnderOnePortSerializesPorts) {
   const TaskGraph g = testbeds::make_fork(1.0, std::vector<double>(6, 1.0),
                                           std::vector<double>(6, 1.0));
   const Platform p = make_homogeneous_platform(5, 1.0, 1.0);
-  const Schedule macro = heft(g, p, {.model = EftEngine::Model::kMacroDataflow});
+  const Schedule macro = heft(g, p, {.model = CommModel::kMacroDataflow});
   EXPECT_DOUBLE_EQ(macro.makespan(), 3.0);
 
   const Schedule replayed = asap_replay(macro, g, p, CommModel::kOnePort);
@@ -77,7 +77,7 @@ TEST(Replay, MacroScheduleUnderOnePortSerializesPorts) {
 TEST(Replay, PreservesAllocationAndOrders) {
   const TaskGraph g = testbeds::make_stencil(8, 5.0);
   const Platform p({1.0, 2.0, 3.0}, 1.0);
-  const Schedule s = ilha(g, p, {.model = EftEngine::Model::kOnePort,
+  const Schedule s = ilha(g, p, {.model = CommModel::kOnePort,
                                  .chunk_size = 6});
   const Schedule r = asap_replay(s, g, p, CommModel::kOnePort);
   ASSERT_EQ(r.num_tasks(), s.num_tasks());

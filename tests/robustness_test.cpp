@@ -12,7 +12,7 @@ namespace {
 TEST(PerturbedReplay, ZeroNoiseEqualsAsapReplay) {
   const TaskGraph g = testbeds::make_lu(10, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   const Schedule exact = asap_replay(s, g, p, CommModel::kOnePort);
   const Schedule noisy = perturbed_replay(s, g, p, CommModel::kOnePort,
                                           0.0, 7);
@@ -22,7 +22,7 @@ TEST(PerturbedReplay, ZeroNoiseEqualsAsapReplay) {
 TEST(PerturbedReplay, DeterministicInSeed) {
   const TaskGraph g = testbeds::make_stencil(8, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   const Schedule a = perturbed_replay(s, g, p, CommModel::kOnePort, 0.3, 42);
   const Schedule b = perturbed_replay(s, g, p, CommModel::kOnePort, 0.3, 42);
   EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
@@ -36,7 +36,7 @@ TEST(PerturbedReplay, DegradationIsBoundedByNoise) {
   // so the makespan cannot grow beyond (1 + noise) * asap.
   const TaskGraph g = testbeds::make_laplace(10, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   const double base = asap_replay(s, g, p, CommModel::kOnePort).makespan();
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const double noisy =
@@ -49,7 +49,7 @@ TEST(PerturbedReplay, DegradationIsBoundedByNoise) {
 TEST(PerturbedReplay, KeepsAllocation) {
   const TaskGraph g = testbeds::make_doolittle(8, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule s = heft(g, p, {.model = CommModel::kOnePort});
   const Schedule noisy =
       perturbed_replay(s, g, p, CommModel::kOnePort, 0.4, 5);
   for (TaskId v = 0; v < g.num_tasks(); ++v) {

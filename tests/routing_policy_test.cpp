@@ -372,13 +372,13 @@ TEST(HeterogeneousRoutedScheduling, SchedulesValidate) {
     const RoutedPlatform routed = make_topology_platform(
         name, {1.0, 1.0, 2.0, 2.0, 3.0, 3.0}, 1.0, 5);
     const Schedule hs = heft(g, routed.platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .routing = &routed.routing});
     const ValidationResult hc = validate_one_port(hs, g, routed.platform);
     EXPECT_TRUE(hc.ok()) << hc.message();
 
     const Schedule is = ilha(g, routed.platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .chunk_size = 8,
                               .routing = &routed.routing});
     const ValidationResult ic = validate_one_port(is, g, routed.platform);

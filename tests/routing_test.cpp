@@ -364,7 +364,7 @@ TEST(StructuredTopologies, StructuredRoutesScheduleAndValidate) {
     const RoutedPlatform routed = make_topology_platform(
         name, {1.0, 1.0, 2.0, 2.0, 3.0, 3.0}, 1.0);
     const Schedule s = heft(g, routed.platform,
-                            {.model = EftEngine::Model::kOnePort,
+                            {.model = CommModel::kOnePort,
                              .routing = &routed.routing});
     const ValidationResult check = validate_one_port(s, g, routed.platform);
     EXPECT_TRUE(check.ok()) << check.message();
@@ -414,7 +414,7 @@ TEST(RoutedScheduling, ChainMessagesValidate) {
   // Force the chain across spokes with a fixed allocation (the hub is so
   // slow that EFT would otherwise avoid hopping).
   const Schedule s = reschedule_fixed_allocation(
-      g, star.platform, {1, 2}, EftEngine::Model::kOnePort, &star.routing);
+      g, star.platform, {1, 2}, CommModel::kOnePort, &star.routing);
   const ValidationResult check = validate_one_port(s, g, star.platform);
   EXPECT_TRUE(check.ok()) << check.message();
   // Two hops of duration 3 each, store-and-forward: 1 + 3 + 3 + 1 = 8.
@@ -428,13 +428,13 @@ TEST(RoutedScheduling, HeuristicsValidOnRingAndStar) {
        {make_ring_platform({1, 1, 2, 2, 3}, 1.0),
         make_star_platform({1, 1, 2, 2, 3}, 1.0)}) {
     const Schedule hs = heft(g, routed.platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .routing = &routed.routing});
     const ValidationResult hc = validate_one_port(hs, g, routed.platform);
     EXPECT_TRUE(hc.ok()) << hc.message();
 
     const Schedule is = ilha(g, routed.platform,
-                             {.model = EftEngine::Model::kOnePort,
+                             {.model = CommModel::kOnePort,
                               .chunk_size = 8,
                               .routing = &routed.routing});
     const ValidationResult ic = validate_one_port(is, g, routed.platform);
@@ -446,7 +446,7 @@ TEST(RoutedScheduling, MacroModelSupportsRoutingToo) {
   const TaskGraph g = testbeds::make_lu(8, 4.0);
   const RoutedPlatform ring = make_ring_platform({1, 1, 2, 2}, 1.0);
   const Schedule s = heft(g, ring.platform,
-                          {.model = EftEngine::Model::kMacroDataflow,
+                          {.model = CommModel::kMacroDataflow,
                            .routing = &ring.routing});
   const ValidationResult check = validate_macro_dataflow(s, g, ring.platform);
   EXPECT_TRUE(check.ok()) << check.message();
@@ -456,7 +456,7 @@ TEST(RoutedScheduling, ReplayHandlesHopChains) {
   const TaskGraph g = testbeds::make_laplace(6, 4.0);
   const RoutedPlatform ring = make_ring_platform({1, 1, 1, 2, 2}, 1.0);
   const Schedule s = heft(g, ring.platform,
-                          {.model = EftEngine::Model::kOnePort,
+                          {.model = CommModel::kOnePort,
                            .routing = &ring.routing});
   const Schedule r = asap_replay(s, g, ring.platform, CommModel::kOnePort);
   EXPECT_LE(r.makespan(), s.makespan() + 1e-6);
@@ -473,7 +473,7 @@ TEST(RoutedScheduling, MissingLinkWithoutRoutingThrows) {
   // Forcing a spoke-to-spoke transfer without a routing table must fail
   // loudly rather than schedule an infinite-duration message.
   EXPECT_THROW(reschedule_fixed_allocation(g, star.platform, {1, 2},
-                                           EftEngine::Model::kOnePort),
+                                           CommModel::kOnePort),
                std::invalid_argument);
 }
 
@@ -486,9 +486,9 @@ TEST(RoutedScheduling, SparserNetworkIsNeverFaster) {
   const std::vector<double> cycles{1, 1, 2, 2, 3};
   const Platform full(cycles, 1.0);
   const RoutedPlatform ring = make_ring_platform(cycles, 1.0);
-  const Schedule full_s = heft(g, full, {.model = EftEngine::Model::kOnePort});
+  const Schedule full_s = heft(g, full, {.model = CommModel::kOnePort});
   const Schedule ring_s = heft(g, ring.platform,
-                               {.model = EftEngine::Model::kOnePort,
+                               {.model = CommModel::kOnePort,
                                 .routing = &ring.routing});
   EXPECT_GE(ring_s.makespan(), full_s.makespan() - 1e-6);
 }

@@ -16,7 +16,7 @@ namespace {
 TEST(SerializeSchedule, RoundTripStaysValid) {
   const TaskGraph g = testbeds::make_stencil(6, 10.0);
   const Platform p = make_paper_platform();
-  const Schedule original = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  const Schedule original = heft(g, p, {.model = CommModel::kOnePort});
   std::stringstream buffer;
   write_schedule(buffer, original);
   const Schedule loaded = read_schedule(buffer);
@@ -42,7 +42,7 @@ TEST(SerializeSchedule, IncompleteScheduleRejected) {
 TEST(SerializeStream, WritersLeaveTheCallersPrecisionAlone) {
   const TaskGraph g = testbeds::make_lu(4, 10.0);
   const Schedule s = heft(g, make_paper_platform(),
-                          {.model = EftEngine::Model::kOnePort});
+                          {.model = CommModel::kOnePort});
   std::ostringstream os;
   os << std::setprecision(3);
   write_schedule(os, s);
@@ -172,7 +172,7 @@ TEST(SerializeSchedule, ScaleScheduleBytesArePinned) {
   options.seed = 20260729 + 10000;
   const TaskGraph g = testbeds::make_random_layered(options);
   const Schedule s = heft(g, make_paper_platform(),
-                          {.model = EftEngine::Model::kOnePort});
+                          {.model = CommModel::kOnePort});
   std::ostringstream os;
   write_schedule(os, s);
   const std::string text = std::move(os).str();

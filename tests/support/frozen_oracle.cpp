@@ -121,17 +121,58 @@ void heterogeneous_routed_rows(std::vector<FrozenRow>& rows) {
                            "mesh2x3:aniso2.5"}) {
     const RoutedPlatform routed = make_topology_platform(
         name, {1.0, 1.0, 2.0, 2.0, 3.0, 3.0}, 1.0, 5);
-    const Schedule h = heft(g, routed.platform,
-                            {.model = EftEngine::Model::kOnePort,
-                             .routing = &routed.routing});
+    const Schedule h = heft(
+        g, routed.platform,
+        {.model = CommModel::kOnePort, .routing = &routed.routing});
     rows.push_back({std::string("het/") + name + "/heft-oneport",
                     h.makespan(), digest(h)});
     const Schedule i = ilha(g, routed.platform,
-                            {.model = EftEngine::Model::kOnePort,
+                            {.model = CommModel::kOnePort,
                              .chunk_size = 8,
                              .routing = &routed.routing});
     rows.push_back({std::string("het/") + name + "/ilha-oneport",
                     i.makespan(), digest(i)});
+  }
+}
+
+void fixed_allocation_rows(std::vector<FrozenRow>& rows) {
+  for (const Scenario& scenario : frozen_static_scenarios()) {
+    const TaskGraph& g = scenario.graph;
+    const Platform& platform = scenario.platform;
+    const RoutingTable* routing = scenario.routing_ptr();
+    const auto p = static_cast<TaskId>(platform.num_processors());
+    for (const auto& [model, suffix] :
+         {std::pair{CommModel::kMacroDataflow, "macro"},
+          std::pair{CommModel::kOnePort, "oneport"}}) {
+      const auto add = [&](const char* name, const Schedule& s) {
+        rows.push_back({"fixed/" + scenario.description + "/" + name + "-" +
+                            suffix,
+                        s.makespan(), digest(s)});
+      };
+      const Schedule h =
+          heft(g, platform, {.model = model, .routing = routing});
+      std::vector<ProcId> heft_allocation(g.num_tasks());
+      std::vector<ProcId> round_robin(g.num_tasks());
+      for (TaskId v = 0; v < g.num_tasks(); ++v) {
+        heft_allocation[v] = h.task(v).proc;
+        round_robin[v] = static_cast<ProcId>(v % p);
+      }
+      add("heft-allocation", reschedule_fixed_allocation(
+                                 g, platform, heft_allocation, model, routing));
+      add("round-robin", reschedule_fixed_allocation(g, platform, round_robin,
+                                                     model, routing));
+      add("ilha-rebuild", ilha(g, platform,
+                               {.model = model,
+                                .chunk_size = 5,
+                                .reschedule_comms = true,
+                                .routing = routing}));
+      add("ilha-scan-rebuild", ilha(g, platform,
+                                    {.model = model,
+                                     .chunk_size = 5,
+                                     .single_comm_scan = true,
+                                     .reschedule_comms = true,
+                                     .routing = routing}));
+    }
   }
 }
 
@@ -194,6 +235,7 @@ std::vector<FrozenRow> compute_frozen_rows() {
   dynamic_rows(rows);
   heterogeneous_routed_rows(rows);
   routed_scale_rows(rows);
+  fixed_allocation_rows(rows);
   return rows;
 }
 

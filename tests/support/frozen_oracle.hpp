@@ -1,12 +1,16 @@
 // Frozen-oracle schedule pin.
 //
-// One row per (scenario, scheduler[, event trace]) over four rotations:
+// One row per (scenario, scheduler[, event trace]) over five rotations:
 // the static property-sweep rotation (random, edge-case, routed and
 // workload-family scenarios under every registered heuristic), the
 // dynamic rotation (the same heuristics replayed through
 // dyn::run_dynamic under the four named fault traces), the
-// heterogeneous routed STENCIL cases, and the routed one-port instances
-// at the scale EFT pruning targets (16-64 processors, wide fan-in).  Each row holds the makespan and a
+// heterogeneous routed STENCIL cases, the routed one-port instances
+// at the scale EFT pruning targets (16-64 processors, wide fan-in), and
+// the fixed-allocation rebuild on the static rotation ("fixed/" rows:
+// reschedule_fixed_allocation of HEFT's allocation and of a round-robin
+// one, and ilha with reschedule_comms, alone and with single_comm_scan,
+// under both models).  Each row holds the makespan and a
 // 64-bit FNV-1a digest over the bit pattern of every placement and
 // message field; a dynamic row's digest also covers every epoch's
 // schedule and the stale-message list.
@@ -18,9 +22,12 @@
 // time.  The "scale/" rows came later: they were recorded with the
 // library while routed candidates still got only the plain
 // finish + data x distance bound, before the routed one-port pruning
-// bounds landed.  Recomputing it with production code and demanding exact
-// equality is the same pin a run-time differential against the oracle
-// would give, without keeping a second implementation in the library.
+// bounds landed.  The "fixed/" rows were recorded with the library while
+// CPOP and the rebuild still ran ready loops of their own, before both
+// became HEFT's priority loop with pinned tasks.  Recomputing the table
+// with production code and demanding exact equality is the same pin a
+// run-time differential against the oracle would give, without keeping a
+// second implementation in the library.
 #pragma once
 
 #include <cstdint>

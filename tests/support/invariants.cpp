@@ -43,10 +43,7 @@ std::vector<std::string> check_valid(const Scenario& scenario,
     return errors;
   }
   const ValidationResult check =
-      model == CommModel::kOnePort
-          ? validate_one_port(schedule, scenario.graph, scenario.platform)
-          : validate_macro_dataflow(schedule, scenario.graph,
-                                    scenario.platform);
+      validate(schedule, scenario.graph, scenario.platform, model);
   for (const std::string& e : check.errors) errors.push_back(e);
   return errors;
 }
@@ -193,9 +190,7 @@ std::vector<std::string> check_serialize_round_trip(const Scenario& scenario,
   }
   // The reread schedule must still pass the independent validator.
   const ValidationResult check =
-      model == CommModel::kOnePort
-          ? validate_one_port(schedule2, g, scenario.platform)
-          : validate_macro_dataflow(schedule2, g, scenario.platform);
+      validate(schedule2, g, scenario.platform, model);
   if (!check.ok()) {
     errors.push_back("reread schedule fails validation:\n" + check.message());
   }

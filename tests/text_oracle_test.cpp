@@ -94,7 +94,7 @@ TEST(TextOracle, OutputsSpanningManyChunksMatch) {
   const Platform platform = make_paper_platform();
   expect_graph_bytes_match(big, "random-layered-20k");
   expect_schedule_bytes_match(
-      heft(big, platform, {.model = EftEngine::Model::kOnePort}),
+      heft(big, platform, {.model = CommModel::kOnePort}),
       "random-layered-20k/heft-oneport");
 
   // Names longer than a chunk, and characters the JSON writer escapes.

@@ -259,6 +259,27 @@ TEST(ValidateOnePort, DegenerateMessagesNeverConflict) {
   EXPECT_TRUE(validate_one_port(s, g, f.platform).ok());
 }
 
+TEST(Validate, DispatchesOnModel) {
+  // Both messages hold P0's send port over [1, 3): legal under
+  // macro-dataflow, an O1 violation under one-port.
+  ForkFixture f;
+  Schedule s(3);
+  s.place_task(0, 0, 0.0, 1.0);
+  s.add_comm({0, 1, 0, 1, 1.0, 3.0});
+  s.add_comm({0, 2, 0, 2, 1.0, 3.0});
+  s.place_task(1, 1, 3.0, 4.0);
+  s.place_task(2, 2, 3.0, 4.0);
+  const ValidationResult macro =
+      validate(s, f.graph, f.platform, CommModel::kMacroDataflow);
+  const ValidationResult one_port =
+      validate(s, f.graph, f.platform, CommModel::kOnePort);
+  EXPECT_TRUE(macro.ok());
+  EXPECT_FALSE(one_port.ok());
+  EXPECT_EQ(macro.errors,
+            validate_macro_dataflow(s, f.graph, f.platform).errors);
+  EXPECT_EQ(one_port.errors, validate_one_port(s, f.graph, f.platform).errors);
+}
+
 TEST(Validate, CollectsMultipleErrors) {
   ForkFixture f;
   Schedule s(3);
