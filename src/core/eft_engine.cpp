@@ -2,12 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/profiler.hpp"
 
 namespace oneport {
+
+namespace {
+
+using Key = std::pair<double, ProcId>;
+
+/// Keys ordered per round of evaluate_best's cheap pool.
+constexpr std::ptrdiff_t kRoundKeys = 8;
+
+/// Moves the kRoundKeys smallest keys of [first, last) to its front in
+/// ascending order and returns the end of that run; the other keys stay
+/// behind it in no particular order.  Insertion throughout: a later key
+/// below the largest one kept evicts it.  Keys are distinct (one per
+/// processor), so the run is exactly a full sort's prefix.
+Key* select_round(Key* first, Key* last) {
+  const auto sift = [first](Key* at) {
+    const Key key = *at;
+    for (; at != first && key < at[-1]; --at) *at = at[-1];
+    *at = key;
+  };
+  Key* const run_end = first + std::min(kRoundKeys, last - first);
+  for (Key* k = first + 1; k < run_end; ++k) sift(k);
+  for (Key* k = run_end; k < last; ++k) {
+    if (*k < run_end[-1]) {
+      std::swap(*k, run_end[-1]);
+      sift(run_end - 1);
+    }
+  }
+  return run_end;
+}
+
+}  // namespace
 
 EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
                      CommModel model, const RoutingTable* routing)
@@ -34,6 +67,12 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
     pending_preds_[v] = static_cast<std::uint32_t>(graph.in_degree(v));
   }
+  // build_schedule hands this buffer to the Schedule, so it is sized
+  // once: direct links record at most one message per edge.  Grown by
+  // doubling instead, it leaves the allocator's free space fragmented
+  // behind it, and the next large allocations (the serialized text)
+  // fault in fresh pages.
+  comms_.reserve(graph.num_edges());
   // Smallest outgoing link cost per processor, for the send-port release
   // bound (a message leaving q occupies its send port for at least
   // data * min_out_link_[q], whatever the destination).
@@ -344,19 +383,26 @@ const Evaluation& EftEngine::evaluate_best(TaskId v) const {
   // The order is the one an upfront-tightened scan would use -- keys
   // tightened through the compute timeline (next_fit is monotone in
   // `ready`, so tightening only raises a key) -- but tightening runs
-  // lazily.  Candidates sit in two pools: bounds_scratch_, sorted on the
-  // cheap arrival+exec key, and tight_scratch_, holding already-probed
-  // keys.  Whichever pool fronts the smaller (key, proc) pair acts: a
-  // cheap front is probed and moved to the tight pool (its cheap key
+  // lazily.  Candidates sit in two pools: bounds_scratch_, on the cheap
+  // arrival+exec key, and tight_scratch_, holding already-probed keys.
+  // Whichever pool fronts the smaller (key, proc) pair acts: a cheap
+  // front is probed and moved to the tight pool (its cheap key
   // lower-bounds every un-probed tight key, so nothing can precede it),
   // a tight front is pruned or evaluated.  Tight pops therefore happen
   // in exactly the upfront scan's order, and a candidate pruned on its
   // cheap key alone (still a sound finish bound) never pays for a probe.
+  //
+  // Few candidates ever leave the cheap pool, so it is never sorted
+  // whole: it is ordered in rounds (select_round), each bringing the
+  // next kRoundKeys keys to its front, and the next round starts only
+  // when one is used up.  Once both fronts are finite and beyond the
+  // band, so is every finite key behind them, and the scan cuts them
+  // all at once: exactly the prunes a key-by-key scan would make.
   fill_bounds(v);
-  std::sort(bounds_scratch_.begin(), bounds_scratch_.end());
   tight_scratch_.clear();
   const double w = graph_.weight(v);
   const double inf = std::numeric_limits<double>::infinity();
+  const auto finite = [](const Key& k) { return std::isfinite(k.first); };
 
   Evaluation& best = best_scratch_;
   Evaluation& candidate = cand_scratch_;
@@ -365,34 +411,52 @@ const Evaluation& EftEngine::evaluate_best(TaskId v) const {
   best.start = 0.0;
   best.finish = 0.0;
   best.comms.clear();
+  Key* const cheap = bounds_scratch_.data();
   std::size_t i = 0;
-  const std::size_t n = bounds_scratch_.size();
+  std::size_t round_end = 0;
+  std::size_t n = bounds_scratch_.size();
   while (i < n || !tight_scratch_.empty()) {
+    if (i == round_end && i < n) {
+      round_end = static_cast<std::size_t>(
+          select_round(cheap + i, cheap + n) - cheap);
+    }
     const bool take_cheap =
-        i < n &&
-        (tight_scratch_.empty() || bounds_scratch_[i] < tight_scratch_.back());
-    const auto [bound, p] =
-        take_cheap ? bounds_scratch_[i] : tight_scratch_.back();
-    // A non-finite bound means a missing link: fall through so
+        i < n && (tight_scratch_.empty() || cheap[i] < tight_scratch_.back());
+    const auto [bound, p] = take_cheap ? cheap[i] : tight_scratch_.back();
+    // A non-finite bound means a missing link: never pruned, so
     // evaluate_into reports it exactly as an exhaustive scan would.
     //
     // Two exact prune tests, both on sound lower bounds (true finish f
     // >= bound).  Beyond the tolerance band (bound > best.finish + eps)
-    // the candidate can neither win nor eps-tie.  *Inside* the band a
-    // higher-id candidate is equally dead: f >= bound >= best.finish -
-    // eps rules out a strict win, and the eps-tie break needs the
-    // *smaller* id.  Either way the outcome equals evaluating the
-    // candidate and watching it lose, so the scan's result is unchanged.
-    if (best.proc >= 0 && std::isfinite(bound) &&
-        (bound > best.finish + kTimeEps ||
-         (p > best.proc && bound >= best.finish - kTimeEps))) {
-      prof::bump(prof::Counter::kPruneSkips);
-      if (take_cheap) {
-        ++i;
-      } else {
-        tight_scratch_.pop_back();
+    // the candidate can neither win nor eps-tie, and neither can any
+    // finite key behind it: the cut.  *Inside* the band a higher-id
+    // candidate is equally dead: f >= bound >= best.finish - eps rules
+    // out a strict win, and the eps-tie break needs the *smaller* id.
+    // Either way the outcome equals evaluating the candidate and
+    // watching it lose, so the scan's result is unchanged.
+    if (best.proc >= 0 && std::isfinite(bound)) {
+      if (bound > best.finish + kTimeEps) {
+        Key* const cheap_kept = std::remove_if(cheap + i, cheap + n, finite);
+        const auto tight_kept = std::remove_if(
+            tight_scratch_.begin(), tight_scratch_.end(), finite);
+        prof::bump(prof::Counter::kPruneSkips,
+                   static_cast<std::uint64_t>(
+                       (cheap + n - cheap_kept) +
+                       (tight_scratch_.end() - tight_kept)));
+        n = static_cast<std::size_t>(cheap_kept - cheap);
+        round_end = i;  // the missing links left over need a new round
+        tight_scratch_.erase(tight_kept, tight_scratch_.end());
+        continue;
       }
-      continue;
+      if (p > best.proc && bound >= best.finish - kTimeEps) {
+        prof::bump(prof::Counter::kPruneSkips);
+        if (take_cheap) {
+          ++i;
+        } else {
+          tight_scratch_.pop_back();
+        }
+        continue;
+      }
     }
     if (take_cheap) {
       ++i;
@@ -401,13 +465,10 @@ const Evaluation& EftEngine::evaluate_best(TaskId v) const {
       const double exec = w * cycle_data_[static_cast<std::size_t>(p)];
       const double start = compute_[static_cast<std::size_t>(p)].next_fit(
           arr_scratch_[static_cast<std::size_t>(p)], exec);
-      const std::pair<double, ProcId> key(start + exec, p);
+      const Key key(start + exec, p);
       tight_scratch_.insert(
           std::upper_bound(tight_scratch_.begin(), tight_scratch_.end(), key,
-                           [](const std::pair<double, ProcId>& a,
-                              const std::pair<double, ProcId>& b) {
-                             return b < a;
-                           }),
+                           [](const Key& a, const Key& b) { return b < a; }),
           key);
       continue;
     }
@@ -455,13 +516,13 @@ void EftEngine::commit(const Evaluation& eval) {
   }
 }
 
-Schedule EftEngine::build_schedule() const {
+Schedule EftEngine::build_schedule() && {
   for (TaskId v = 0; v < graph_.num_tasks(); ++v) {
     OP_REQUIRE(placements_[v].placed(), "task " << v << " never scheduled");
   }
-  // Bulk export through Schedule's arena constructor: one validated pass
-  // over each record store instead of a checked push_back per record.
-  return Schedule(placements_, comms_);
+  // Bulk export through Schedule's arena constructor, which adopts both
+  // record stores: one validated pass over each, no copy.
+  return Schedule(std::move(placements_), std::move(comms_));
 }
 
 }  // namespace oneport

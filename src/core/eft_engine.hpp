@@ -155,9 +155,10 @@ class EftEngine {
   }
 
   /// Extracts the finished schedule; requires all tasks committed.
-  /// Bulk-exports the engine's arena-backed placement and comm records
-  /// through Schedule's vector constructor (no per-record push_back).
-  [[nodiscard]] Schedule build_schedule() const;
+  /// Moves the engine's placement and comm records into Schedule's
+  /// vector constructor (no copy, no per-record push_back), so it
+  /// consumes the engine: call it as std::move(engine).build_schedule().
+  [[nodiscard]] Schedule build_schedule() &&;
 
  private:
   /// One predecessor of the task under evaluation, flattened into the
@@ -233,9 +234,12 @@ class EftEngine {
   mutable std::vector<PredRec> preds_;
   mutable TaskId preds_task_ = kInvalidTask;  ///< task preds_ is for
   mutable std::vector<ProcId> path_scratch_;
+  /// The cheap pool of evaluate_best: one (arrival + exec bound, proc)
+  /// key per candidate not yet probed, ordered only in rounds, each
+  /// bringing its next smallest keys to the front of what is left.
   mutable std::vector<std::pair<double, ProcId>> bounds_scratch_;
-  /// Probed (timeline-tightened) candidate keys, descending, so the
-  /// current global minimum sits at the back; see evaluate_best.
+  /// The tight pool: probed (timeline-tightened) candidate keys,
+  /// descending, so the current global minimum sits at the back.
   mutable std::vector<std::pair<double, ProcId>> tight_scratch_;
   mutable std::vector<double> chain_scratch_;  ///< per-proc ERD chain lane
   mutable std::vector<double> arr_scratch_;    ///< per-proc arrival lane

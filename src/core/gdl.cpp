@@ -1,6 +1,7 @@
 #include "core/gdl.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_algorithms.hpp"
@@ -53,7 +54,7 @@ Schedule gdl(const TaskGraph& graph, const Platform& platform,
       }
     }
   }
-  return engine.build_schedule();
+  return std::move(engine).build_schedule();
 }
 
 }  // namespace oneport

@@ -1,6 +1,7 @@
 #include "core/heft.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/priorities.hpp"
@@ -67,7 +68,7 @@ Schedule priority_list_schedule(const TaskGraph& graph,
   OP_ASSERT(scheduled == graph.num_tasks(),
             "priority list scheduled " << scheduled << " of "
                                        << graph.num_tasks() << " tasks");
-  return engine.build_schedule();
+  return std::move(engine).build_schedule();
 }
 
 }  // namespace oneport

@@ -1,6 +1,7 @@
 #include "core/ilha.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/heft.hpp"
@@ -197,7 +198,7 @@ Schedule ilha(const TaskGraph& graph, const Platform& platform,
   OP_ASSERT(scheduled_total == graph.num_tasks(),
             "ILHA scheduled " << scheduled_total << " of "
                               << graph.num_tasks() << " tasks");
-  Schedule schedule = engine.build_schedule();
+  Schedule schedule = std::move(engine).build_schedule();
 
   if (options.reschedule_comms) {
     std::vector<ProcId> allocation(graph.num_tasks());

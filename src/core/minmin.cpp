@@ -1,6 +1,7 @@
 #include "core/minmin.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -46,7 +47,7 @@ Schedule min_min(const TaskGraph& graph, const Platform& platform,
       }
     }
   }
-  return engine.build_schedule();
+  return std::move(engine).build_schedule();
 }
 
 }  // namespace oneport

@@ -245,10 +245,12 @@ std::vector<Interval> TimelineIndex::busy_intervals() const {
 double TimelineOverlay::next_fit(double ready, double duration) const {
   OP_ASSERT(base_ != nullptr, "overlay used before reset()");
   if (duration <= kTimeEps) return ready;
-  // O(1) fast path: nothing -- base reservation or extra -- ends after
-  // ready + kTimeEps, so no interval can block a slot at `ready`.  This
-  // is exactly the answer the scan below would produce.
-  if (ready >= base_horizon_ - kTimeEps && ready >= extras_horizon_ - kTimeEps) {
+  // O(1) fast path: nothing -- base reservation or extra (the last one
+  // ends last) -- ends after ready + kTimeEps, so no interval can block
+  // a slot at `ready`.  This is exactly the answer the scan below would
+  // produce.
+  if (ready >= base_horizon_ - kTimeEps &&
+      (extras_.empty() || ready >= extras_.back().end - kTimeEps)) {
     return ready;
   }
   // Most evaluations add zero or one extras per port; skip the merge
@@ -258,16 +260,23 @@ double TimelineOverlay::next_fit(double ready, double duration) const {
   while (true) {
     candidate = base_->next_fit(candidate, duration);
     // One ordered pass over the start-sorted extras, absorbing every
-    // extra the sliding candidate still overlaps.  The pass starts from
-    // the front on purpose: add() accepts arbitrary (even overlapping)
-    // intervals, so ends are not sorted and passed extras cannot be
-    // skipped by binary search.  Extras are bounded by the task's
-    // in-degree, so the pass is short.
+    // extra the sliding candidate still overlaps.  An extra with
+    // `candidate >= end - kTimeEps` fails overlaps()'s second test, so
+    // it cannot move the candidate; the extras are disjoint by add()'s
+    // contract, so their ends ascend and those extras are a prefix,
+    // skipped by binary search.  The pass then visits the same extras
+    // with the same candidate as one from the front: if it would have
+    // stopped inside the prefix, it stops at its first extra, which
+    // starts no earlier.
     bool moved = false;
-    for (const Interval& extra : extras_) {
-      if (extra.start >= candidate + duration - kTimeEps) break;
-      if (overlaps(extra, {candidate, candidate + duration})) {
-        candidate = extra.end;
+    const auto first = std::partition_point(
+        extras_.begin(), extras_.end(), [candidate](const Interval& e) {
+          return !(candidate < e.end - kTimeEps);
+        });
+    for (auto extra = first; extra != extras_.end(); ++extra) {
+      if (extra->start >= candidate + duration - kTimeEps) break;
+      if (overlaps(*extra, {candidate, candidate + duration})) {
+        candidate = extra->end;
         moved = true;
       }
     }
@@ -278,10 +287,19 @@ double TimelineOverlay::next_fit(double ready, double duration) const {
 void TimelineOverlay::add(double start, double end) {
   const Interval iv{start, end};
   if (iv.degenerate()) return;
-  if (end > extras_horizon_) extras_horizon_ = end;
   const auto pos = std::partition_point(
       extras_.begin(), extras_.end(),
       [&iv](const Interval& e) { return e.start < iv.start; });
+  // next_fit's binary search needs ends ascending with the starts.
+  // Disjoint, non-degenerate extras have them, up to rounding below
+  // kTimeEps, so both facts are checked against the two neighbours.
+  const auto fits_after = [](const Interval& a, const Interval& b) {
+    return !overlaps(a, b) && a.end <= b.end;
+  };
+  OP_ASSERT((pos == extras_.begin() || fits_after(pos[-1], iv)) &&
+                (pos == extras_.end() || fits_after(iv, *pos)),
+            "extra [" << start << "," << end
+                      << ") overlaps a kept extra of the overlay");
   extras_.insert(pos, iv);
 }
 

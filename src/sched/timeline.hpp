@@ -175,11 +175,14 @@ class TimelineOverlay {
   void reset(const TimelineIndex& base) {
     base_ = &base;
     base_horizon_ = base.horizon();
-    extras_horizon_ = 0.0;
     extras_.clear();
   }
 
   [[nodiscard]] double next_fit(double ready, double duration) const;
+  /// Adds the pending reservation [start, end); degenerate ones are
+  /// ignored.  The extras must stay pairwise disjoint (no two overlap()),
+  /// as the joint-fit slots the engine adds always are: an extra that
+  /// overlaps a kept one throws std::logic_error and is not kept.
   void add(double start, double end);
   [[nodiscard]] std::span<const Interval> extras() const noexcept {
     return extras_;
@@ -187,9 +190,8 @@ class TimelineOverlay {
 
  private:
   const TimelineIndex* base_ = nullptr;
-  double base_horizon_ = 0.0;    ///< base->horizon() at reset time
-  double extras_horizon_ = 0.0;  ///< max end over the extras
-  std::vector<Interval> extras_;  // kept sorted by start
+  double base_horizon_ = 0.0;  ///< base->horizon() at reset time
+  std::vector<Interval> extras_;  // disjoint, sorted by start (and end)
 };
 
 /// Earliest start >= `ready` at which BOTH ports have [start,

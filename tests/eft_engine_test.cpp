@@ -1,14 +1,22 @@
 // Direct tests of the EFT engine -- the machinery every heuristic shares.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/eft_engine.hpp"
+#include "core/registry.hpp"
 #include "platform/routing.hpp"
 #include "sched/validate.hpp"
 #include "support/frozen_oracle.hpp"
 #include "support/scenario.hpp"
+#include "testbeds/registry.hpp"
+#include "testbeds/testbeds.hpp"
+#include "util/profiler.hpp"
 
 namespace oneport {
 namespace {
@@ -107,8 +115,10 @@ TEST(EftEngine, GuardsAgainstMisuse) {
                                                                // scheduled
   engine.commit(engine.evaluate(0, 0));
   EXPECT_THROW(engine.commit(engine.evaluate(0, 1)), std::invalid_argument);
-  EXPECT_THROW(engine.build_schedule(), std::invalid_argument);  // incomplete
   EXPECT_THROW(engine.commit(Evaluation{}), std::invalid_argument);
+  // Last: extracting the schedule consumes the engine.
+  EXPECT_THROW(std::move(engine).build_schedule(),
+               std::invalid_argument);  // incomplete
 }
 
 TEST(EftEngine, ReadyTracksPredecessors) {
@@ -124,7 +134,7 @@ TEST(EftEngine, BuildScheduleIsValid) {
   Fixture f;
   EftEngine engine(f.graph, f.platform, CommModel::kOnePort);
   for (TaskId v = 0; v < 3; ++v) engine.commit(engine.evaluate_best(v));
-  const Schedule s = engine.build_schedule();
+  const Schedule s = std::move(engine).build_schedule();
   EXPECT_TRUE(validate_one_port(s, f.graph, f.platform).ok());
 }
 
@@ -205,6 +215,38 @@ TEST(EftEngineExactPruning, MatchesExhaustiveScanOnRoutedScaleInstances) {
   }
 }
 
+/// The routed-scale DAGs on 24 identical processors joined by uniform
+/// links.  Every processor that holds no predecessor then offers the
+/// same bound, so evaluate_best prunes candidate after candidate inside
+/// the tolerance band instead of cutting the scan short, and its cheap
+/// pool is consumed round after round.
+std::vector<testsupport::Scenario> tied_scenarios() {
+  std::vector<testsupport::Scenario> scenarios;
+  for (const auto& [family, size] :
+       {std::pair{"MICROSVC", 40}, std::pair{"MICROSVC", 80},
+        std::pair{"MLTRAIN", 10}, std::pair{"LU", 16}}) {
+    scenarios.push_back(
+        {1,
+         std::string(family) + "/n=" + std::to_string(size) + "/tied24",
+         testbeds::find_testbed(family).make(size, testbeds::kPaperCommRatio),
+         Platform(std::vector<double>(24, 1.0), 1.0),
+         std::nullopt});
+  }
+  return scenarios;
+}
+
+TEST(EftEngineExactPruning, MatchesExhaustiveScanOnTiedProcessors) {
+  for (const testsupport::Scenario& s : tied_scenarios()) {
+    for (const CommModel model :
+         {CommModel::kOnePort, CommModel::kMacroDataflow}) {
+      const ScanTally tally =
+          compare_with_exhaustive_scan(s.graph, s.platform, model, nullptr);
+      EXPECT_EQ(tally.differing, 0u) << s.description;
+      EXPECT_EQ(tally.decisions, s.graph.num_tasks());
+    }
+  }
+}
+
 TEST(EftEngineExactPruning, MatchesExhaustiveScanOnDirectLinks) {
   for (const testsupport::Scenario& s : testsupport::scenario_sweep(7301, 80)) {
     for (const CommModel model :
@@ -213,6 +255,61 @@ TEST(EftEngineExactPruning, MatchesExhaustiveScanOnDirectLinks) {
           compare_with_exhaustive_scan(s.graph, s.platform, model, nullptr);
       EXPECT_EQ(tally.differing, 0u) << s.description;
     }
+  }
+}
+
+/// Profiler totals of one scheduler over a set of scenarios.
+struct ScanTotals {
+  std::uint64_t evals = 0;      ///< candidates evaluated
+  std::uint64_t skips = 0;      ///< candidates pruned
+  std::uint64_t next_fits = 0;  ///< TimelineIndex::next_fit probes
+  friend bool operator==(const ScanTotals&, const ScanTotals&) = default;
+};
+
+ScanTotals scan_totals(const std::vector<testsupport::Scenario>& scenarios,
+                       const char* scheduler) {
+  prof::ScopedProfiler profiler(true);
+  prof::reset();
+  for (const testsupport::Scenario& s : scenarios) {
+    (void)find_scheduler(scheduler, {.routing = s.routing_ptr()})
+        .run(s.graph, s.platform);
+  }
+  const prof::Counts counts = prof::aggregate();
+  const auto at = [&counts](prof::Counter c) {
+    return counts[static_cast<std::size_t>(c)];
+  };
+  return {at(prof::Counter::kPruneEvals), at(prof::Counter::kPruneSkips),
+          at(prof::Counter::kTimelineNextFit)};
+}
+
+// The exhaustive-scan differentials pin which candidate wins; this pins
+// the scan itself.  Candidates evaluated, candidates pruned and timeline
+// probes, summed over HEFT and ILHA runs, are held to totals recorded
+// while evaluate_best still sorted its whole cheap pool, so a change to
+// the order of probes, evaluations and prunes shows here even when
+// every schedule stays the same.
+TEST(EftEngineExactPruning, ScanCountsMatchRecordedTotals) {
+  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
+  const std::vector<testsupport::Scenario> routed =
+      testsupport::routed_scale_scenarios();
+  const std::vector<testsupport::Scenario> tied = tied_scenarios();
+  struct Case {
+    const char* label;
+    const std::vector<testsupport::Scenario>* scenarios;
+    const char* scheduler;
+    ScanTotals want;
+  };
+  const std::array<Case, 4> cases = {{
+      {"routed-scale", &routed, "heft-oneport", {4141, 70219, 49151}},
+      {"routed-scale", &routed, "ilha-oneport", {2979, 62445, 56745}},
+      {"tied24", &tied, "heft-oneport", {673, 13055, 3837}},
+      {"tied24", &tied, "ilha-oneport", {599, 11881, 3446}},
+  }};
+  for (const Case& c : cases) {
+    const ScanTotals got = scan_totals(*c.scenarios, c.scheduler);
+    EXPECT_EQ(got, c.want) << c.label << " " << c.scheduler << ": evals "
+                           << got.evals << ", skips " << got.skips
+                           << ", next_fits " << got.next_fits;
   }
 }
 

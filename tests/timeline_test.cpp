@@ -299,6 +299,71 @@ TEST(TimelineOverlay, ManyExtrasOrderedPass) {
   EXPECT_DOUBLE_EQ(overlay.next_fit(50.0, 1.0), 51.0);
 }
 
+TEST(TimelineOverlay, RejectsOverlappingExtra) {
+  TimelineIndex base;
+  TimelineOverlay overlay(base);
+  overlay.add(2.0, 4.0);
+  overlay.add(4.0, 5.0);                   // touching is disjoint
+  overlay.add(1.0, 2.0 + 0.5 * kTimeEps);  // so is overlap within kTimeEps
+  EXPECT_THROW(overlay.add(3.0, 3.5), std::logic_error);  // nested
+  EXPECT_THROW(overlay.add(4.9, 6.0), std::logic_error);  // from the right
+  EXPECT_THROW(overlay.add(0.5, 1.0 + 2 * kTimeEps), std::logic_error);
+  EXPECT_THROW(overlay.add(2.0, 4.0), std::logic_error);  // a duplicate
+  ASSERT_EQ(overlay.extras().size(), 3u);  // rejected extras are not kept
+  EXPECT_DOUBLE_EQ(overlay.next_fit(0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(overlay.next_fit(0.5, 1.0), 5.0);
+}
+
+/// Drives an overlay and a ReferenceTimeline holding its base
+/// reservations plus its extras through the same probes and demands
+/// bit-identical answers.  The extras are pairwise disjoint, as the
+/// overlay's contract requires, and some overlap the busy interval
+/// before them by less than kTimeEps, which the reference merges and the
+/// overlay keeps apart.
+class OverlayDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OverlayDifferentialTest, AgreesWithReferenceHoldingBaseAndExtras) {
+  SplitMix64 rng(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    ReferenceTimeline reference;
+    TimelineIndex base;
+    const auto reservations = rng.below(40);
+    for (std::uint64_t i = 0; i < reservations; ++i) {
+      const double duration = rng.uniform(0.0, 5.0);
+      const double start =
+          reference.next_fit(rng.uniform(0.0, 100.0), duration);
+      reference.reserve(start, start + duration);
+      base.reserve(start, start + duration);
+    }
+    TimelineOverlay overlay(base);
+    const auto extras = rng.below(65);
+    for (std::uint64_t i = 0; i < extras; ++i) {
+      const double duration = rng.uniform(0.0, 4.0);
+      double start = reference.next_fit(rng.uniform(0.0, 120.0), duration);
+      if (rng.below(4) == 0) {
+        const double nudged = start - rng.uniform(0.0, kTimeEps);
+        if (reference.is_free(nudged, nudged + duration)) start = nudged;
+      }
+      reference.reserve(start, start + duration);
+      overlay.add(start, start + duration);
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      const double ready = rng.uniform(0.0, 130.0);
+      const double duration =
+          rng.below(8) == 0 ? 0.0 : rng.uniform(0.0, 6.0);
+      ASSERT_EQ(reference.next_fit(ready, duration),
+                overlay.next_fit(ready, duration))  // bitwise
+          << "round " << round << " probe " << probe << " ready=" << ready
+          << " duration=" << duration << " extras=" << extras;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OverlayDifferentialTest,
+                         ::testing::Values<std::uint64_t>(3, 41, 2024, 65537,
+                                                          900001));
+
 // --------------------------------------------------------- joint fit
 
 TEST(JointFit, BothFreeImmediately) {
