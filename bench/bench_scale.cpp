@@ -48,6 +48,7 @@
 
 #include "analysis/experiment.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/topology_cache.hpp"
 #include "core/heft.hpp"
 #include "exact/branch_bound.hpp"
 #include "graph/dot_export.hpp"
@@ -454,8 +455,8 @@ void register_service_benchmarks() {
   // p99 enqueue-to-completion latency.  The service is constructed once
   // per bench (thread startup stays out of the timing loop); each
   // iteration submits the whole stream and drains, so the timed quantity
-  // is exactly one replay -- queue admission, batched drains, per-shard
-  // cache lookups, and the run_sweep_point execution itself.  Fixed
+  // is exactly one replay -- queue admission, batched drains and the
+  // run_sweep_point execution itself.  Fixed
   // shards/batch/depth so the bench shape does not depend on the host's
   // core count.
   const auto make_stream = [] {
@@ -496,7 +497,7 @@ void register_service_benchmarks() {
           svc.drain();
         }
         // Rates divide by wall time (UseRealTime below): the submitting
-        // thread's CPU time omits the shard workers' scheduling.
+        // thread's CPU time omits the service workers' scheduling.
         state.counters["schedules_per_s"] = benchmark::Counter(
             static_cast<double>(stream.size()),
             benchmark::Counter::kIsIterationInvariantRate);

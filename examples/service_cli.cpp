@@ -1,11 +1,11 @@
-// Scheduler-service replay driver (ISSUE-9 tentpole): stand up a
-// service::SchedulerService over the paper platform, replay a seeded
-// stream of mixed-size DAG scheduling requests through it, and report
-// sustained schedules/sec with p50/p99 enqueue-to-completion latency.
+// Scheduler-service replay driver: stand up a service::SchedulerService
+// over the paper platform, replay a seeded stream of mixed-size DAG
+// scheduling requests through it, and report sustained schedules/sec
+// with p50/p99 enqueue-to-completion latency.
 //
 // Usage:
 //   service_cli [--requests=200 | --seconds=2]
-//               [--shards=0] [--queue-depth=0] [--batch=0]
+//               [--shards=0] [--queue-depth=256] [--batch=8]
 //               [--backpressure=block|reject]
 //               [--testbeds=LU,FORK-JOIN,STENCIL] [--sizes=20,40,80]
 //               [--schedulers=heft-oneport,ilha-oneport]
@@ -15,8 +15,8 @@
 // sizes x schedulers axes, so a replay is reproducible: the same seed
 // submits the same requests in the same order.  --requests replays a
 // fixed count; --seconds instead submits closed-loop until the deadline
-// (the CI smoke mode).  Zero-argument knobs fall through to the
-// ONEPORT_SERVICE_* environment defaults (docs/KNOBS.md).  Under
+// (the CI smoke mode).  The service flags default to ServiceOptions'
+// defaults (--shards=0 = one worker per hardware thread).  Under
 // --backpressure=reject, rejected submissions honor the ticket's
 // retry-after hint and resubmit, so every generated request eventually
 // completes and the reported throughput is the service's, not the
@@ -139,7 +139,7 @@ int run(int argc, char** argv) {
   if (args.has("help")) {
     std::cout
         << "usage: service_cli [--requests=200 | --seconds=S]\n"
-           "                   [--shards=0] [--queue-depth=0] [--batch=0]\n"
+           "                   [--shards=0] [--queue-depth=256] [--batch=8]\n"
            "                   [--backpressure=block|reject]\n"
            "                   [--testbeds=LU,FORK-JOIN,STENCIL]\n"
            "                   [--sizes=20,40,80]\n"
@@ -151,8 +151,8 @@ int run(int argc, char** argv) {
            "requests through the scheduler service and reports\n"
            "schedules/sec with p50/p99 latency.  --requests submits a\n"
            "fixed count; --seconds submits closed-loop until the\n"
-           "deadline.  Knobs left at 0 (or backpressure unset) resolve\n"
-           "from the ONEPORT_SERVICE_* environment (docs/KNOBS.md).\n"
+           "deadline.  --shards=0 starts one worker per hardware\n"
+           "thread.\n"
            "Exits non-zero if no request completes.\n";
     return 0;
   }
@@ -170,15 +170,17 @@ int run(int argc, char** argv) {
   ensure(requests > 0 || seconds > 0.0,
          "--requests must be positive (or give --seconds)");
 
+  const int shards = args.get_int("shards", 0);
+  const int queue_depth = args.get_int("queue-depth", 256);
+  const int batch = args.get_int("batch", 8);
+  ensure(shards >= 0 && queue_depth >= 0 && batch >= 0,
+         "--shards, --queue-depth and --batch must not be negative");
   service::ServiceOptions options;
-  options.shards = static_cast<unsigned>(args.get_int("shards", 0));
-  options.queue_depth =
-      static_cast<std::size_t>(args.get_int("queue-depth", 0));
-  options.batch_size = static_cast<std::size_t>(args.get_int("batch", 0));
-  if (args.has("backpressure")) {
-    options.backpressure =
-        service::parse_backpressure(args.get("backpressure", "block"));
-  }
+  options.shards = static_cast<unsigned>(shards);
+  options.queue_depth = static_cast<std::size_t>(queue_depth);
+  options.batch_size = static_cast<std::size_t>(batch);
+  options.backpressure =
+      service::parse_backpressure(args.get("backpressure", "block"));
   options.validate = !args.has("no-validate");
 
   const Platform platform = make_paper_platform();

@@ -58,26 +58,20 @@ std::vector<SweepPoint> make_sweep_grid(
 }
 
 SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
-                            const SweepOptions& options,
-                            TopologyCacheShard* cache) {
+                            const SweepOptions& options) {
   const testbeds::TestbedEntry testbed = testbeds::find_testbed(point.testbed);
   const TaskGraph graph = testbed.make(point.size, point.comm_ratio);
 
   // Routed points share one immutable platform + RoutingTable per
   // (topology, seed) through a cache: each cell stays a pure function of
   // its inputs, but the Floyd-Warshall / structured-route construction
-  // runs once per network, not once per point.  A caller-owned shard
-  // (the scheduler service) is consulted directly; everyone else routes
-  // by key hash through the process-wide sharded cache.
+  // runs once per network, not once per point.
   const bool routed = point.topology != "full";
   std::shared_ptr<const RoutedPlatform> sparse;
   if (routed) {
-    sparse = cache != nullptr
-                 ? cache->get(point.topology, platform.cycle_times(),
-                              /*link=*/1.0, point.topology_seed)
-                 : process_topology_cache().get(
-                       point.topology, platform.cycle_times(),
-                       /*link=*/1.0, point.topology_seed);
+    sparse = process_topology_cache().get(point.topology,
+                                          platform.cycle_times(),
+                                          /*link=*/1.0, point.topology_seed);
   }
   const Platform& target = routed ? sparse->platform : platform;
   const SchedulerConfig config{

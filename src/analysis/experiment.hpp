@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/topology_cache.hpp"
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
 #include "util/csv.hpp"
@@ -133,14 +132,10 @@ struct SweepOptions {
 /// Runs ONE grid point -- the exact code path run_sweep farms across the
 /// thread pool, exposed so other executors (the scheduler service in
 /// src/service/) produce bit-identical results by construction.  Routed
-/// points resolve their network through `cache` when given (a
-/// scheduler-service worker passes the shard it owns, making routed
-/// lookups contention-free) and through the process-wide sharded cache
-/// otherwise.
+/// points resolve their network through `process_topology_cache()`.
 [[nodiscard]] SweepResult run_sweep_point(const SweepPoint& point,
                                           const Platform& platform,
-                                          const SweepOptions& options = {},
-                                          TopologyCacheShard* cache = nullptr);
+                                          const SweepOptions& options = {});
 
 /// Formats sweep results as one row per grid point.
 [[nodiscard]] csv::Table sweep_table(const std::vector<SweepResult>& rows);

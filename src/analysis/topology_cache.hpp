@@ -1,4 +1,4 @@
-// Sharded routed-platform cache.
+// The routed-platform cache.
 //
 // Grid sweeps and the scheduler service resolve the same routed networks
 // over and over.  The cache is keyed by (topology name, seed, link, cycle
@@ -11,27 +11,19 @@
 // shape under two seeds) never alias; cycle times participate too, so
 // sweeps over different base platforms stay distinct.
 //
-// A single global lock made every worker serialize even on pure cache
-// *hits*, so the cache is split into independently locked shards:
+// One mutex guards one map, under a first-insert-wins contract: values
+// are built OUTSIDE the lock (construction is exactly the expensive part
+// being cached); a first-use race may build a platform twice, but
+// `map::emplace` keeps the first insert and every caller -- the losing
+// builder included -- receives that winning pointer, so per key there is
+// always one canonical immutable instance.  A hit is one map lookup
+// under the lock, orders of magnitude cheaper than scheduling even the
+// smallest routed point, so the lock is not worth splitting.
 //
-//   * `TopologyCacheShard` is the unit of ownership -- one mutex, one
-//     map, and the documented first-insert-wins contract: values are
-//     built OUTSIDE the lock (construction is exactly the expensive part
-//     being cached); a first-use race may build a platform twice, but
-//     `map::emplace` keeps the first insert and every caller -- the
-//     losing builder included -- receives that winning pointer, so per
-//     key there is always one canonical immutable instance.
-//   * `ShardedTopologyCache` owns a fixed array of shards.  Callers with
-//     an *owned* shard (each scheduler-service worker) go straight to
-//     `shard(i)` and never contend with another worker at all; callers
-//     without one (the batch sweep path) route by key hash through
-//     `get`, which spreads distinct topologies across shards so two
-//     workers building different networks no longer serialize.
-//
-// Shardless callers use the process-wide instance returned by
-// `process_topology_cache()`.  The one-instance-per-key contract is
-// pinned by tests/concurrency_stress_test.cpp (hash-routed lookups) and
-// tests/service_test.cpp (per shard, under concurrent lookups).
+// Sweeps, benches and every scheduler-service worker share the
+// process-wide instance returned by `process_topology_cache()`.  The
+// one-instance-per-key contract is pinned by
+// tests/concurrency_stress_test.cpp and tests/service_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +38,8 @@
 
 namespace oneport::analysis {
 
-/// One independently locked cache shard: (topology name, seed, link,
-/// cycle times) -> immutable RoutedPlatform.  Thread-safe; see the
-/// first-insert-wins contract in the header comment.
+/// (topology name, seed, link, cycle times) -> immutable RoutedPlatform.
+/// Thread-safe; see the first-insert-wins contract in the header comment.
 class TopologyCacheShard {
  public:
   TopologyCacheShard() = default;
@@ -56,12 +47,12 @@ class TopologyCacheShard {
   TopologyCacheShard& operator=(const TopologyCacheShard&) = delete;
 
   /// Returns the canonical platform for the key, building it (outside
-  /// the shard lock) on first use.
+  /// the lock) on first use.
   [[nodiscard]] std::shared_ptr<const RoutedPlatform> get(
       const std::string& topology, const std::vector<double>& cycle_times,
       double link = 1.0, std::uint64_t seed = 1);
 
-  /// Number of cached networks in this shard (tests/diagnostics).
+  /// Number of cached networks (tests/diagnostics).
   [[nodiscard]] std::size_t size() const;
 
  private:
@@ -73,46 +64,9 @@ class TopologyCacheShard {
       OP_GUARDED_BY(mutex_);
 };
 
-/// A fixed set of `TopologyCacheShard`s.  Two access patterns:
-///   * `shard(i)` -- callers that own a shard (scheduler-service
-///     workers) get zero cross-caller lock contention;
-///   * `get(...)` -- shardless callers (the batch sweep path) route by
-///     key hash, so distinct networks build under distinct locks.
-class ShardedTopologyCache {
- public:
-  /// `shards` is clamped to at least 1.
-  explicit ShardedTopologyCache(std::size_t shards);
-  ShardedTopologyCache(const ShardedTopologyCache&) = delete;
-  ShardedTopologyCache& operator=(const ShardedTopologyCache&) = delete;
-
-  [[nodiscard]] std::size_t num_shards() const noexcept {
-    return shards_.size();
-  }
-  [[nodiscard]] TopologyCacheShard& shard(std::size_t i) noexcept {
-    return shards_[i % shards_.size()];
-  }
-
-  /// Deterministic shard index for a key (exposed so tests can assert
-  /// the routing is stable).
-  [[nodiscard]] std::size_t shard_for(const std::string& topology,
-                                      std::uint64_t seed) const noexcept;
-
-  /// Hash-routed lookup for callers without an owned shard.
-  [[nodiscard]] std::shared_ptr<const RoutedPlatform> get(
-      const std::string& topology, const std::vector<double>& cycle_times,
-      double link = 1.0, std::uint64_t seed = 1);
-
-  /// Total cached networks across shards (tests/diagnostics).
-  [[nodiscard]] std::size_t total_entries() const;
-
- private:
-  std::vector<TopologyCacheShard> shards_;
-};
-
-/// The process-wide sharded instance for callers without an owned shard
-/// (the batch sweep path, benches, tests).  Leaked intentionally: cached
-/// routing tables must outlive every schedule still pointing into them
-/// at static-destruction time.
-[[nodiscard]] ShardedTopologyCache& process_topology_cache() noexcept;
+/// The process-wide cache.  Leaked intentionally: cached routing tables
+/// must outlive every schedule still pointing into them at
+/// static-destruction time.
+[[nodiscard]] TopologyCacheShard& process_topology_cache() noexcept;
 
 }  // namespace oneport::analysis

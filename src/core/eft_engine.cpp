@@ -227,7 +227,8 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
             earliest_joint_fit(send_[static_cast<std::size_t>(r.proc)],
                                recv_scratch_, r.finish, duration);
         recv_scratch_.add(start, start + duration);
-        out.comms.push_back({r.task, r.proc, proc, start, start + duration});
+        out.comms.push_back(
+            {r.task, v, r.proc, proc, start, start + duration});
         arrival = std::max(arrival, start + duration);
       }
       out.start =
@@ -283,7 +284,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
         send_ov.add(start, start + duration);
         recv_ov.add(start, start + duration);
       }
-      out.comms.push_back({r.task, a, b, start, start + duration});
+      out.comms.push_back({r.task, v, a, b, start, start + duration});
       cursor = start + duration;
     }
     arrival = std::max(arrival, cursor);
@@ -499,13 +500,13 @@ void EftEngine::commit(const Evaluation& eval) {
   OP_REQUIRE(!scheduled(eval.task),
              "task " << eval.task << " already scheduled");
   prof::bump(prof::Counter::kEngineCommits);
-  for (const CommDecision& c : eval.comms) {
-    if (model_ == CommModel::kOnePort) {
+  if (model_ == CommModel::kOnePort) {
+    for (const CommPlacement& c : eval.comms) {
       send_[static_cast<std::size_t>(c.from)].reserve(c.start, c.finish);
       recv_[static_cast<std::size_t>(c.to)].reserve(c.start, c.finish);
     }
-    comms_.push_back({c.src, eval.task, c.from, c.to, c.start, c.finish});
   }
+  comms_.insert(comms_.end(), eval.comms.begin(), eval.comms.end());
   compute_[static_cast<std::size_t>(eval.proc)].reserve(eval.start,
                                                         eval.finish);
   placements_[eval.task] = TaskPlacement{eval.proc, eval.start, eval.finish};

@@ -87,23 +87,16 @@
 
 namespace oneport {
 
-/// One tentatively scheduled incoming message (one hop of a routed
-/// transfer; `to` is the candidate processor itself for direct links).
-struct CommDecision {
-  TaskId src = kInvalidTask;
-  ProcId from = -1;
-  ProcId to = -1;
-  double start = 0.0;
-  double finish = 0.0;
-};
-
-/// Result of evaluating a (task, processor) pair.
+/// Result of evaluating a (task, processor) pair.  `comms` holds the
+/// tentatively scheduled incoming messages, one record per hop of a
+/// routed transfer, each with `dst == task`; commit() appends them to the
+/// schedule as they are.
 struct Evaluation {
   TaskId task = kInvalidTask;
   ProcId proc = -1;
   double start = 0.0;
   double finish = 0.0;
-  std::vector<CommDecision> comms;
+  std::vector<CommPlacement> comms;
 };
 
 /// What an EFT heuristic schedules under: the communication model and an

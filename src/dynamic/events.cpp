@@ -8,15 +8,6 @@
 
 namespace oneport::dyn {
 
-const char* event_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kSlowdown: return "slowdown";
-    case EventKind::kDropout: return "dropout";
-    case EventKind::kArrival: return "arrival";
-  }
-  return "?";
-}
-
 void validate_trace(const EventTrace& trace, const TaskGraph& graph,
                     const Platform& platform) {
   const int p = platform.num_processors();

@@ -31,8 +31,6 @@ enum class EventKind {
   kArrival,   ///< `tasks` become known and schedulable at `time`
 };
 
-[[nodiscard]] const char* event_kind_name(EventKind kind);
-
 struct PlatformEvent {
   EventKind kind = EventKind::kSlowdown;
   double time = 0.0;

@@ -86,15 +86,7 @@ Platform heuristic_platform(const Platform& base, const LoopState& st) {
             ? st.cycle[static_cast<std::size_t>(q)]
             : kDropPenalty;
   }
-  Matrix<double> link(static_cast<std::size_t>(p),
-                      static_cast<std::size_t>(p));
-  for (ProcId q = 0; q < p; ++q) {
-    for (ProcId r = 0; r < p; ++r) {
-      link(static_cast<std::size_t>(q), static_cast<std::size_t>(r)) =
-          base.link(q, r);
-    }
-  }
-  return Platform{std::move(cyc), std::move(link)};
+  return Platform{std::move(cyc), base.link_matrix()};
 }
 
 Schedule compose(const LoopState& st) {

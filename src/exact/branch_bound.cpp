@@ -1,7 +1,6 @@
 #include "exact/branch_bound.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -44,8 +43,6 @@ struct Search {
   double min_open_bound = kInf;
   std::uint64_t nodes_expanded = 0;
   bool budget_hit = false;
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = false;
 
   [[nodiscard]] double link_cost(int from, int to) const {
     return (*dist)(static_cast<std::size_t>(from),
@@ -73,15 +70,6 @@ struct Search {
       bound = std::max(bound, release + blev[v]);
     }
     return bound;
-  }
-
-  [[nodiscard]] bool out_of_budget() {
-    if (nodes_expanded >= options.node_budget) return true;
-    if (has_deadline && (nodes_expanded & 0x1ffu) == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      return true;
-    }
-    return false;
   }
 
   void place(TaskId v, int p, double start_time) {
@@ -128,7 +116,7 @@ struct Search {
       incumbent = std::min(incumbent, cur_max_finish);
       return;
     }
-    if (out_of_budget()) {
+    if (nodes_expanded >= options.node_budget) {
       budget_hit = true;
       min_open_bound = std::min(min_open_bound, node_bound());
       return;
@@ -251,13 +239,6 @@ BranchBoundResult branch_bound_lower_bound(const TaskGraph& g,
     search.missing_preds[v] = static_cast<int>(g.in_degree(v));
   }
   search.remaining_weight = g.total_weight();
-  if (options.deadline_seconds > 0.0) {
-    search.has_deadline = true;
-    search.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options.deadline_seconds));
-  }
 
   const double root_bound = search.node_bound();
   if (static_cast<std::size_t>(options.max_search_tasks) < g.num_tasks()) {

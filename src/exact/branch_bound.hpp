@@ -20,15 +20,14 @@
 // and is pruned against the incumbent.  Children are explored
 // cheapest-bound-first so good incumbents appear early.
 //
-// Anytime contract: the search stops after `node_budget` expansions (or
-// the optional wall-clock deadline).  Nodes never expanded contribute
-// their optimistic bound to `min_open_bound`;
+// Anytime contract: the search stops after `node_budget` expansions.
+// Nodes never expanded contribute their optimistic bound to
+// `min_open_bound`;
 //   lower_bound = max(root bound, min(incumbent, min_open_bound))
 // is sound regardless of where the budget ran out, and
 // `proven_optimal` is true iff no open node could beat the incumbent --
-// then lower_bound IS the MD optimum.  With the default
-// `deadline_seconds = 0` the result is a pure function of the inputs
-// (node budget only), which the sweep audit and tests rely on.
+// then lower_bound IS the MD optimum.  The result is a pure function of
+// the inputs, which the sweep audit and tests rely on.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +44,6 @@ struct BranchBoundOptions {
   /// proves optimality on the small instances the audit targets
   /// (<= ~12 tasks exhaustively; much larger when pruning bites).
   std::uint64_t node_budget = 200'000;
-  /// Wall-clock cutoff in seconds; 0 disables it (keeps the result
-  /// deterministic).  Checked every few hundred expansions.
-  double deadline_seconds = 0.0;
   /// Above this many tasks the search is not attempted at all: the
   /// result is the root bound with proven_optimal = false.  Guards
   /// sweeps against accidentally pointing the audit at a 100k-task

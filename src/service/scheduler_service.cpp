@@ -4,34 +4,14 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
-#include "util/env_knobs.hpp"
+#include "util/error.hpp"
 
 namespace oneport::service {
 
 namespace {
-
-unsigned resolve_shards(unsigned requested) {
-  if (requested > 0) return requested;
-  const long knob = env::integer(env::Knob::kServiceShards, 0);
-  if (knob > 0) return static_cast<unsigned>(knob);
-  return ThreadPool::default_workers();
-}
-
-std::size_t resolve_size(std::size_t requested, env::Knob knob,
-                         long fallback) {
-  if (requested > 0) return requested;
-  const long value = env::integer(knob, fallback);
-  return value > 0 ? static_cast<std::size_t>(value)
-                   : static_cast<std::size_t>(fallback);
-}
-
-Backpressure resolve_backpressure(Backpressure requested) {
-  if (requested != Backpressure::kDefault) return requested;
-  return parse_backpressure(
-      env::text(env::Knob::kServiceBackpressure, "block"));
-}
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
                          std::chrono::steady_clock::time_point to) {
@@ -54,25 +34,31 @@ const char* backpressure_name(Backpressure mode) noexcept {
   switch (mode) {
     case Backpressure::kBlock: return "block";
     case Backpressure::kReject: return "reject";
-    case Backpressure::kDefault: break;
   }
-  return "default";
+  return "?";
 }
 
 SchedulerService::SchedulerService(const Platform& platform,
                                    const ServiceOptions& options)
     : platform_(platform),
-      shards_(resolve_shards(options.shards)),
-      depth_(resolve_size(options.queue_depth,
-                          env::Knob::kServiceQueueDepth, 256)),
-      batch_(resolve_size(options.batch_size, env::Knob::kServiceBatch, 8)),
-      mode_(resolve_backpressure(options.backpressure)),
-      sweep_options_{.workers = 1, .validate = options.validate},
-      retry_after_ms_(options.retry_after_ms),
-      cache_(shards_) {
-  pool_ = std::make_unique<ThreadPool>(std::max(2u, shards_));
-  for (unsigned shard = 0; shard < shards_; ++shard) {
-    pool_->submit([this, shard] { worker_loop(shard); });
+      shards_(options.shards > 0
+                  ? options.shards
+                  : std::max(1u, std::thread::hardware_concurrency())),
+      depth_(options.queue_depth),
+      batch_(options.batch_size),
+      mode_(options.backpressure),
+      sweep_options_{.workers = 1, .validate = options.validate} {
+  require(depth_ > 0, "service queue depth must be positive");
+  require(batch_ > 0, "service batch size must be positive");
+  try {
+    util::MutexLock lock(mutex_);
+    workers_.reserve(shards_);
+    for (unsigned worker = 0; worker < shards_; ++worker) {
+      workers_.emplace_back([this, worker] { worker_loop(worker); });
+    }
+  } catch (...) {
+    stop();  // a failed thread start must not leave the others joinable
+    throw;
   }
 }
 
@@ -89,14 +75,14 @@ Ticket SchedulerService::submit(analysis::SweepPoint point) {
     if (mode_ == Backpressure::kReject) {
       if (queue_.size() >= depth_ || stopping_) {
         ++rejected_;
-        ticket.retry_after_ms = retry_after_ms_;
+        ticket.retry_after_ms = kRetryAfterMs;
         return ticket;
       }
     } else {
       while (queue_.size() >= depth_ && !stopping_) not_full_.wait(lock);
       if (stopping_) {
         ++rejected_;
-        ticket.retry_after_ms = retry_after_ms_;
+        ticket.retry_after_ms = kRetryAfterMs;
         return ticket;
       }
     }
@@ -111,8 +97,7 @@ Ticket SchedulerService::submit(analysis::SweepPoint point) {
   return ticket;
 }
 
-void SchedulerService::worker_loop(unsigned shard) {
-  analysis::TopologyCacheShard& cache = cache_.shard(shard);
+void SchedulerService::worker_loop(unsigned worker) {
   std::vector<Job> batch;
   while (true) {
     batch.clear();
@@ -138,12 +123,11 @@ void SchedulerService::worker_loop(unsigned shard) {
       const Clock::time_point admitted = Clock::now();
       Response response;
       response.id = job.id;
-      response.shard = shard;
+      response.shard = worker;
       response.queue_ns = elapsed_ns(job.enqueued, admitted);
       try {
         response.result =
-            analysis::run_sweep_point(job.point, platform_, sweep_options_,
-                                      &cache);
+            analysis::run_sweep_point(job.point, platform_, sweep_options_);
         const Clock::time_point done = Clock::now();
         response.service_ns = elapsed_ns(admitted, done);
         response.latency_ns = elapsed_ns(job.enqueued, done);
@@ -174,19 +158,17 @@ void SchedulerService::drain() {
 }
 
 void SchedulerService::stop() {
+  std::vector<std::thread> workers;
   {
     util::MutexLock lock(mutex_);
-    if (stopping_ && pool_ == nullptr) return;
     stopping_ = true;
+    workers.swap(workers_);
   }
   // Wake the workers (to drain and exit) and any parked submitters (to
   // return rejected tickets).
   not_empty_.notify_all();
   not_full_.notify_all();
-  if (pool_ != nullptr) {
-    pool_->wait_idle();  // worker loops return once the queue is drained
-    pool_.reset();
-  }
+  for (std::thread& worker : workers) worker.join();
 }
 
 ServiceStats SchedulerService::stats() const {

@@ -1,34 +1,31 @@
-// Scheduler-as-a-service: a long-running batched request server over the
-// thread pool (the ISSUE-9 tentpole; the full design narrative lives in
-// docs/SERVICE.md).
+// Scheduler-as-a-service: a long-running batched request server (the
+// full design narrative lives in docs/SERVICE.md).
 //
 // Shape, in the nfos data-plane idiom:
 //
-//   clients --submit()--> [ bounded MPMC queue ] --batched drain--> shard 0
-//                              |  (depth D,           (<= K per wake) shard 1
+//   clients --submit()--> [ bounded MPMC queue ] --batched drain--> worker 0
+//                              |  (depth D,           (<= K per wake) worker 1
 //                         backpressure when full)                     ...
-//                                                                     shard N-1
+//                                                                     worker N-1
 //
 //   * the request queue is bounded (`queue_depth`); a full queue engages
 //     the selected backpressure policy -- kBlock parks the submitter on
 //     a not-full condvar, kReject returns an unaccepted ticket with a
 //     retry-after hint and bumps the reject counter;
-//   * N shard workers (threads of a util/thread_pool.hpp pool owned by
-//     the service) drain up to `batch_size` requests per wake -- one
-//     lock acquisition admits a whole batch, so queue-mutex traffic
-//     scales with batches, not requests;
-//   * each worker OWNS one TopologyCacheShard (analysis/topology_cache):
-//     routed platform lookups never contend across workers, which is the
-//     sharding that replaced the old process-wide single-mutex cache;
+//   * N worker threads, started by the constructor and joined by stop(),
+//     drain up to `batch_size` requests per wake -- one lock acquisition
+//     admits a whole batch, so queue-mutex traffic scales with batches,
+//     not requests;
 //   * every request runs through analysis::run_sweep_point -- the exact
-//     executor run_sweep farms over the pool -- so a service schedule is
+//     executor run_sweep farms over the pool, resolving routed platforms
+//     through the same process-wide cache -- so a service schedule is
 //     bit-identical to the same job run through the batch path
 //     (tests/service_test.cpp pins this);
 //   * per-request latency (enqueue -> completion) lands in the response
 //     and in the service's own stats.
 //
-// Defaults resolve from the ONEPORT_SERVICE_* env knobs (docs/KNOBS.md);
-// explicit ServiceOptions fields win over the environment.
+// ServiceOptions carries every default; service_cli exposes each field
+// as a flag.
 #pragma once
 
 #include <chrono>
@@ -36,41 +33,37 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiment.hpp"
-#include "analysis/topology_cache.hpp"
 #include "platform/platform.hpp"
 #include "util/annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oneport::service {
 
-/// Full-queue policy.  kDefault resolves ONEPORT_SERVICE_BACKPRESSURE
-/// ("block" unless overridden) at service construction.
-enum class Backpressure { kDefault, kBlock, kReject };
+/// Full-queue policy.
+enum class Backpressure { kBlock, kReject };
 
 /// Parses "block"/"reject" (throws std::invalid_argument otherwise).
 [[nodiscard]] Backpressure parse_backpressure(std::string_view name);
 [[nodiscard]] const char* backpressure_name(Backpressure mode) noexcept;
 
+/// Retry-after hint handed back with every rejected ticket.
+inline constexpr int kRetryAfterMs = 1;
+
 struct ServiceOptions {
-  /// Shard workers; 0 = ONEPORT_SERVICE_SHARDS, then hardware
-  /// concurrency (min 1).
+  /// Worker threads; 0 = std::thread::hardware_concurrency() (at least 1).
   unsigned shards = 0;
-  /// Request-queue bound; 0 = ONEPORT_SERVICE_QUEUE_DEPTH, then 256.
-  std::size_t queue_depth = 0;
-  /// Max requests drained per worker wake; 0 = ONEPORT_SERVICE_BATCH,
-  /// then 8.
-  std::size_t batch_size = 0;
-  /// Full-queue policy; kDefault = ONEPORT_SERVICE_BACKPRESSURE.
-  Backpressure backpressure = Backpressure::kDefault;
+  /// Request-queue bound; must be positive.
+  std::size_t queue_depth = 256;
+  /// Max requests drained per worker wake; must be positive.
+  std::size_t batch_size = 8;
+  /// Full-queue policy.
+  Backpressure backpressure = Backpressure::kBlock;
   /// Validate every static schedule (same meaning as SweepOptions).
   bool validate = true;
-  /// Retry-after hint handed back on kReject, in milliseconds.
-  int retry_after_ms = 1;
 };
 
 /// One completed request.
@@ -83,10 +76,10 @@ struct Response {
   unsigned shard = 0;              ///< worker that served the request
 };
 
-/// submit()'s result.  When `accepted`, `response` resolves once a shard
+/// submit()'s result.  When `accepted`, `response` resolves once a
 /// worker completes (or faults) the request; when rejected (kReject
 /// backpressure on a full queue, or submit after stop), `response` is
-/// invalid and `retry_after_ms` hints when to try again.
+/// invalid and `retry_after_ms` (kRetryAfterMs) hints when to try again.
 struct Ticket {
   bool accepted = false;
   int retry_after_ms = 0;
@@ -109,7 +102,8 @@ struct ServiceStats {
 class SchedulerService {
  public:
   /// Copies `platform` (requests may outlive the caller's copy) and
-  /// starts the shard workers immediately.
+  /// starts the worker threads immediately.  Throws
+  /// std::invalid_argument on a zero queue depth or batch size.
   explicit SchedulerService(const Platform& platform,
                             const ServiceOptions& options = {});
   /// stop()s if the caller has not.
@@ -150,7 +144,7 @@ class SchedulerService {
     Clock::time_point enqueued;
   };
 
-  void worker_loop(unsigned shard);
+  void worker_loop(unsigned worker);
 
   Platform platform_;
   unsigned shards_;
@@ -158,8 +152,6 @@ class SchedulerService {
   std::size_t batch_;
   Backpressure mode_;
   analysis::SweepOptions sweep_options_;
-  int retry_after_ms_;
-  analysis::ShardedTopologyCache cache_;
 
   mutable util::Mutex mutex_;
   util::CondVar not_empty_;
@@ -174,12 +166,8 @@ class SchedulerService {
   std::uint64_t batches_ OP_GUARDED_BY(mutex_) = 0;
   std::size_t peak_depth_ OP_GUARDED_BY(mutex_) = 0;
   std::vector<std::uint64_t> latencies_ OP_GUARDED_BY(mutex_);
-
-  // Declared last so the worker threads die before any state they touch.
-  // The pool is sized max(2, shards): a 1-thread ThreadPool runs jobs
-  // inline on the submitting thread, which would turn the first
-  // worker-loop submission into a deadlock in the constructor.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Emptied by the stop() that joins them.
+  std::vector<std::thread> workers_ OP_GUARDED_BY(mutex_);
 };
 
 /// Sorted-vector percentile in milliseconds (q in [0, 1], nearest-rank);

@@ -16,10 +16,6 @@ constexpr std::array<KnobInfo, kNumKnobs> kCatalog = {{
     {"ONEPORT_PROFILE", "0", "src/util/profiler.cpp", "enable the per-thread scalability profiler (counters surface in bench JSON and sweep_cli --json)"},
     {"ONEPORT_WORKERS", "hardware", "src/util/thread_pool.hpp", "default thread-pool width for run_sweep (0 or unset = hardware concurrency)"},
     {"ONEPORT_SWEEP_SEEDS", "0", "tests/property_sweep_test.cpp", "extra seeded property-sweep repetitions for CI/nightly deepening"},
-    {"ONEPORT_SERVICE_SHARDS", "hardware", "src/service/scheduler_service.cpp", "scheduler-service shard workers, each owning a routed-platform cache shard (0 or unset = hardware concurrency)"},
-    {"ONEPORT_SERVICE_QUEUE_DEPTH", "256", "src/service/scheduler_service.cpp", "bound on the scheduler-service request queue; a full queue engages the backpressure policy"},
-    {"ONEPORT_SERVICE_BATCH", "8", "src/service/scheduler_service.cpp", "max requests a service worker drains per wake (batched admission)"},
-    {"ONEPORT_SERVICE_BACKPRESSURE", "block", "src/service/scheduler_service.cpp", "full-queue policy: block submitters | reject with a retry-after hint"},
 }};
 
 }  // namespace
@@ -40,11 +36,6 @@ const char* raw(Knob knob) noexcept {
 bool flag(Knob knob) noexcept {
   const char* value = raw(knob);
   return value != nullptr && value[0] != '\0' && std::strcmp(value, "0") != 0;
-}
-
-std::string_view text(Knob knob, std::string_view fallback) noexcept {
-  const char* value = raw(knob);
-  return value != nullptr ? std::string_view(value) : fallback;
 }
 
 long integer(Knob knob, long fallback) noexcept {

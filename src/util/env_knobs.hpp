@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string_view>
 
 namespace oneport::env {
 
@@ -30,10 +29,6 @@ enum class Knob : std::size_t {
   kProfile = 0,         ///< ONEPORT_PROFILE: enable the per-thread profiler
   kWorkers,             ///< ONEPORT_WORKERS: default thread-pool width
   kSweepSeeds,          ///< ONEPORT_SWEEP_SEEDS: extra property-sweep seeds
-  kServiceShards,       ///< ONEPORT_SERVICE_SHARDS: scheduler-service workers
-  kServiceQueueDepth,   ///< ONEPORT_SERVICE_QUEUE_DEPTH: bounded queue size
-  kServiceBatch,        ///< ONEPORT_SERVICE_BATCH: admission batch size K
-  kServiceBackpressure, ///< ONEPORT_SERVICE_BACKPRESSURE: block | reject
   kCount,
 };
 
@@ -61,10 +56,6 @@ struct KnobInfo {
 /// True when the knob is set to a non-empty value other than "0"
 /// (the repo-wide boolean convention, e.g. ONEPORT_PROFILE=1).
 [[nodiscard]] bool flag(Knob knob) noexcept;
-
-/// String value, or `fallback` when unset (empty counts as set).
-[[nodiscard]] std::string_view text(Knob knob,
-                                    std::string_view fallback) noexcept;
 
 /// Integer value, or `fallback` when unset/unparsable.
 [[nodiscard]] long integer(Knob knob, long fallback) noexcept;

@@ -1,6 +1,6 @@
 // Concurrency stress for the repo's three load-bearing shared-state
 // sites: the thread pool (contended submit/drain, exceptions inside
-// tasks), the process-wide sharded routed-platform cache
+// tasks), the process-wide routed-platform cache
 // (process_topology_cache), and the profiler's per-thread slab
 // registry.  (The scheduler service built on top of all three has its
 // own battery in tests/service_test.cpp.)
@@ -121,10 +121,6 @@ TEST(ThreadPoolStress, DestructorDrainsQueuedJobs) {
 // map::emplace keeps the first insert and hands the winner to every
 // caller, losers included.  Run under TSan this also proves the
 // build-outside-the-lock window touches no shared mutable state.
-// Since the scheduler-service PR the shim hash-routes every call into
-// the process-wide ShardedTopologyCache, so this same test now pins the
-// contract across shard boundaries too (the key set below spans
-// multiple shards).
 TEST(TopologyCacheStress, ConcurrentHitsShareOneInstancePerKey) {
   const std::vector<double> cycles{4.0, 5.0, 6.0, 10.0};
   const std::vector<std::string> names{"ring", "star", "mesh2x2",
@@ -150,11 +146,11 @@ TEST(TopologyCacheStress, ConcurrentHitsShareOneInstancePerKey) {
   }
 }
 
-// The sharded cache singleton under a wide key set: distinct keys land
-// in distinct shards (distinct locks), and re-demanding the whole set
-// concurrently must neither rebuild nor cross wires between shards.
+// The process-wide cache under a wide key set: demanding the whole set
+// concurrently, over and over, must hand every caller of one key the
+// same instance.
 TEST(TopologyCacheStress, ShardedSingletonHoldsAcrossWideKeySet) {
-  analysis::ShardedTopologyCache& cache = analysis::process_topology_cache();
+  analysis::TopologyCacheShard& cache = analysis::process_topology_cache();
   const std::vector<double> cycles{3.0, 7.0, 9.0};
   const std::vector<std::string> names{"ring", "star", "line", "mesh2x2",
                                        "torus2x2", "fattree1x2"};
@@ -172,7 +168,7 @@ TEST(TopologyCacheStress, ShardedSingletonHoldsAcrossWideKeySet) {
     const std::size_t peer = i + names.size() * 4;
     if (peer < kLookups) {
       EXPECT_EQ(got[i].get(), got[peer].get())
-          << "sharded cache returned two instances for one key (" << i
+          << "cache returned two instances for one key (" << i
           << ", " << peer << ")";
     }
   }

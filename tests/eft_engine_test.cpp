@@ -74,6 +74,9 @@ TEST(EftEngine, OnePortMessagesWithinOneEvaluationSerialize) {
   engine.commit(engine.evaluate(1, 1));
   const Evaluation eval = engine.evaluate(2, 2);
   ASSERT_EQ(eval.comms.size(), 2u);
+  // Each record is the schedule's message record, addressed to task 2.
+  EXPECT_EQ(eval.comms[0].dst, 2u);
+  EXPECT_EQ(eval.comms[1].dst, 2u);
   // Distinct senders, same receiver: the receive port serializes them.
   EXPECT_GE(eval.comms[1].start, eval.comms[0].finish - kTimeEps);
   EXPECT_DOUBLE_EQ(eval.start, 5.0);  // 1 + 2 + 2
@@ -148,19 +151,8 @@ TEST(EftEngine, RejectsMismatchedRoutingTable) {
 }
 
 bool same_evaluation(const Evaluation& a, const Evaluation& b) {
-  if (a.proc != b.proc || a.start != b.start || a.finish != b.finish ||
-      a.comms.size() != b.comms.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.comms.size(); ++i) {
-    const CommDecision& x = a.comms[i];
-    const CommDecision& y = b.comms[i];
-    if (x.src != y.src || x.from != y.from || x.to != y.to ||
-        x.start != y.start || x.finish != y.finish) {
-      return false;
-    }
-  }
-  return true;
+  return a.proc == b.proc && a.start == b.start && a.finish == b.finish &&
+         a.comms == b.comms;
 }
 
 struct ScanTally {

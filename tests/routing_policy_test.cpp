@@ -328,7 +328,7 @@ TEST(TopologyNameGrammar, GoldenHetMeshSwpDeviatesFromXY) {
 
 TEST(SharedTopologyCache, PolicyAndHetKeysNeverAlias) {
   const std::vector<double> cycles{1.0, 2.0, 1.0, 2.0, 3.0};
-  analysis::ShardedTopologyCache& cache = analysis::process_topology_cache();
+  analysis::TopologyCacheShard& cache = analysis::process_topology_cache();
   const auto base = cache.get("mesh3x3", cycles);
   const auto swp = cache.get("mesh3x3:swp", cycles);
   const auto alt = cache.get("mesh3x3:alt", cycles);

@@ -377,7 +377,7 @@ TEST(StructuredTopologies, StructuredRoutesScheduleAndValidate) {
 // platform.
 TEST(StructuredTopologies, SharedTopologyPlatformCachePinsFreshTables) {
   const std::vector<double> cycles{1.0, 2.0, 1.0, 2.0, 3.0};
-  analysis::ShardedTopologyCache& cache = analysis::process_topology_cache();
+  analysis::TopologyCacheShard& cache = analysis::process_topology_cache();
   const auto a = cache.get("mesh3x3", cycles, 1.0, 1);
   const auto b = cache.get("mesh3x3", cycles, 1.0, 1);
   EXPECT_EQ(a.get(), b.get()) << "second lookup must hit the cache";

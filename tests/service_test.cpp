@@ -1,19 +1,22 @@
-// Concurrency + correctness battery for the scheduler service (the
-// ISSUE-9 tentpole).  Labeled quick AND pool: the Debug CI leg runs it
-// for fast feedback and the TSan leg replays it for races across the
-// request queue, the shard workers, and the per-shard topology caches.
+// Concurrency + correctness battery for the scheduler service.  Labeled
+// quick AND pool: the Debug CI leg runs it for fast feedback and the
+// TSan leg replays it for races across the request queue, the worker
+// threads, and the shared routed-platform cache.
 //
 // The load-bearing pins:
 //   * a schedule produced through the service is BIT-identical to the
 //     same SweepPoint run through analysis::run_sweep -- both paths call
 //     run_sweep_point, and this suite keeps that true from the outside;
-//   * the per-shard routed-platform cache returns one instance per key
-//     no matter how many threads demand it concurrently (the contract
-//     the old process-wide cache had, now held per shard);
+//   * routed requests resolve their networks through the one
+//     process-wide cache, which returns one instance per key no matter
+//     how many threads demand it concurrently;
+//   * ServiceOptions alone configures the service: its defaults need no
+//     environment, and a zero queue depth or batch size is rejected;
 //   * backpressure is principled: block-mode submitters park and every
-//     request completes; reject-mode tickets partition cleanly into
-//     accepted (future resolves) and rejected (retry-after hint, no id
-//     consumed), and submitting after stop() always rejects.
+//     request completes, even with a single worker and a one-slot queue;
+//     reject-mode tickets partition cleanly into accepted (future
+//     resolves) and rejected (retry-after hint, no id consumed), and
+//     submitting after stop() always rejects.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -68,7 +71,7 @@ TEST(SchedulerService, ResultsBitIdenticalToRunSweep) {
       analysis::run_sweep(grid, platform, {.workers = 1});
 
   service::ServiceOptions options;
-  options.shards = 3;  // requests hash to different shard caches
+  options.shards = 3;  // requests spread over three workers
   options.batch_size = 2;
   service::SchedulerService svc(platform, options);
   std::vector<service::Ticket> tickets;
@@ -135,7 +138,57 @@ TEST(SchedulerService, ContendedSubmitDrainCompletesEverything) {
   EXPECT_EQ(svc.latencies_ns().size(), kSubmitters * kPerSubmitter);
 }
 
+// ------------------------------------------------------ configuration
+
+TEST(SchedulerService, DefaultOptionsNeedNoEnvironment) {
+  const Platform platform = make_paper_platform();
+  {
+    service::SchedulerService svc(platform);
+    EXPECT_EQ(svc.queue_depth(), 256u);
+    EXPECT_EQ(svc.batch_size(), 8u);
+    EXPECT_EQ(svc.backpressure(), service::Backpressure::kBlock);
+    EXPECT_GE(svc.shards(), 1u);
+  }
+  service::ServiceOptions no_queue;
+  no_queue.shards = 1;
+  no_queue.queue_depth = 0;
+  EXPECT_THROW((void)service::SchedulerService(platform, no_queue),
+               std::invalid_argument);
+  service::ServiceOptions no_batch;
+  no_batch.shards = 1;
+  no_batch.batch_size = 0;
+  EXPECT_THROW((void)service::SchedulerService(platform, no_batch),
+               std::invalid_argument);
+}
+
 // -------------------------------------------------------- backpressure
+
+// One worker behind a one-slot queue in block mode: every submission
+// after the first parks until the worker admits the one before it, so
+// all four complete only if the worker runs on its own thread.
+TEST(SchedulerService, SingleWorkerBlockModeDrains) {
+  const Platform platform = make_paper_platform();
+  service::ServiceOptions options;
+  options.shards = 1;
+  options.queue_depth = 1;
+  options.backpressure = service::Backpressure::kBlock;
+  service::SchedulerService svc(platform, options);
+  std::vector<service::Ticket> tickets;
+  for (int i = 0; i < 4; ++i) {
+    tickets.push_back(
+        svc.submit(make_point("FORK-JOIN", 10 + i, "heft-oneport")));
+  }
+  for (service::Ticket& ticket : tickets) {
+    ASSERT_TRUE(ticket.accepted);
+    EXPECT_NO_THROW((void)ticket.response.get());
+  }
+  svc.drain();
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_LE(stats.peak_queue_depth, 1u);
+}
+
 
 TEST(SchedulerService, RejectModePartitionsTicketsCleanly) {
   const Platform platform = make_paper_platform();
@@ -144,7 +197,6 @@ TEST(SchedulerService, RejectModePartitionsTicketsCleanly) {
   options.queue_depth = 1;
   options.batch_size = 1;
   options.backpressure = service::Backpressure::kReject;
-  options.retry_after_ms = 7;
   service::SchedulerService svc(platform, options);
 
   constexpr int kAttempts = 64;
@@ -156,9 +208,9 @@ TEST(SchedulerService, RejectModePartitionsTicketsCleanly) {
     if (ticket.accepted) {
       accepted.push_back(std::move(ticket));
     } else {
-      // Rejection is fully described: the hint is the configured one and
-      // no future was attached.
-      EXPECT_EQ(ticket.retry_after_ms, 7);
+      // Rejection is fully described: the hint is set and no future was
+      // attached.
+      EXPECT_EQ(ticket.retry_after_ms, service::kRetryAfterMs);
       EXPECT_FALSE(ticket.response.valid());
       ++rejected;
     }
@@ -180,7 +232,6 @@ TEST(SchedulerService, SubmitAfterStopRejectsDeterministically) {
   const Platform platform = make_paper_platform();
   service::ServiceOptions options;
   options.shards = 1;
-  options.retry_after_ms = 3;
   service::SchedulerService svc(platform, options);
   service::Ticket before =
       svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
@@ -192,7 +243,7 @@ TEST(SchedulerService, SubmitAfterStopRejectsDeterministically) {
     service::Ticket after =
         svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
     EXPECT_FALSE(after.accepted);
-    EXPECT_EQ(after.retry_after_ms, 3);
+    EXPECT_EQ(after.retry_after_ms, service::kRetryAfterMs);
     EXPECT_FALSE(after.response.valid());
   }
   EXPECT_EQ(svc.stats().completed, 1u);
@@ -230,7 +281,7 @@ TEST(SchedulerService, BackpressureParsing) {
                "reject");
 }
 
-// ------------------------------------------------- sharded topology cache
+// ------------------------------------------------- routed-platform cache
 
 TEST(ShardedTopologyCache, ShardGetIsOneInstancePerKeyUnderContention) {
   analysis::TopologyCacheShard shard;
@@ -255,36 +306,25 @@ TEST(ShardedTopologyCache, ShardGetIsOneInstancePerKeyUnderContention) {
   EXPECT_EQ(shard.size(), 6u);  // 2 topologies x 3 seeds
 }
 
-TEST(ShardedTopologyCache, HashRoutingIsStableAndCoversAllShards) {
-  analysis::ShardedTopologyCache cache(4);
-  EXPECT_EQ(cache.num_shards(), 4u);
-  // Routing is a pure function of (topology, seed)...
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    EXPECT_EQ(cache.shard_for("ring", seed), cache.shard_for("ring", seed));
-  }
-  // ...and the routed get() caches exactly once per key, in the shard
-  // the router names.
-  const std::vector<double> cycles{4.0, 5.0};
-  const auto a = cache.get("ring", cycles, 1.0, 1);
-  const auto b = cache.get("ring", cycles, 1.0, 1);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.total_entries(), 1u);
-  EXPECT_EQ(cache.shard(cache.shard_for("ring", 1)).size(), 1u);
-}
-
-TEST(ShardedTopologyCache, ServiceShardsStayDisjointButConsistent) {
-  // Two service workers resolving the same routed point each populate
-  // their own shard: instances may differ across shards (that is the
-  // contention trade), but every schedule derived from them is
-  // identical -- pinned end to end here via the service bit-identity
-  // path on a routed topology.
+// Routed requests served by two workers build each network once, in the
+// process-wide cache the batch path reads too, and their schedules equal
+// run_sweep's bit for bit.  The topology seed is one no other test in
+// this binary uses, so the cache's growth counts this test's keys only.
+TEST(SchedulerService, RoutedRequestsShareTheProcessCache) {
+  constexpr std::uint64_t kSeed = 9173;
   const Platform platform = make_paper_platform();
-  const std::vector<analysis::SweepPoint> grid = {
-      make_point("LU", 30, "heft-oneport", "mesh2x2"),
-      make_point("LU", 30, "heft-oneport", "mesh2x2"),
-  };
-  const std::vector<analysis::SweepResult> expected =
-      analysis::run_sweep(grid, platform, {.workers = 1});
+  std::vector<analysis::SweepPoint> grid;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const char* topology : {"mesh2x2", "mesh3x3:het0.5:swp"}) {
+      analysis::SweepPoint point =
+          make_point("LU", 20 + 10 * copy, "heft-oneport", topology);
+      point.topology_seed = kSeed;
+      grid.push_back(point);
+    }
+  }
+  constexpr std::size_t kDistinctKeys = 2;
+
+  const std::size_t before = analysis::process_topology_cache().size();
   service::ServiceOptions options;
   options.shards = 2;
   options.batch_size = 1;
@@ -293,11 +333,22 @@ TEST(ShardedTopologyCache, ServiceShardsStayDisjointButConsistent) {
   for (const analysis::SweepPoint& point : grid) {
     tickets.push_back(svc.submit(point));
   }
+  std::vector<service::Response> responses;
+  for (service::Ticket& ticket : tickets) {
+    ASSERT_TRUE(ticket.accepted);
+    responses.push_back(ticket.response.get());
+  }
+  EXPECT_EQ(analysis::process_topology_cache().size(), before + kDistinctKeys);
+
+  const std::vector<analysis::SweepResult> expected =
+      analysis::run_sweep(grid, platform, {.workers = 1});
+  EXPECT_EQ(analysis::process_topology_cache().size(), before + kDistinctKeys);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    ASSERT_TRUE(tickets[i].accepted);
-    const service::Response response = tickets[i].response.get();
-    EXPECT_EQ(response.result.makespan, expected[i].makespan);
-    EXPECT_EQ(response.result.num_comms, expected[i].num_comms);
+    const analysis::SweepResult& got = responses[i].result;
+    EXPECT_EQ(got.makespan, expected[i].makespan) << grid[i].topology;
+    EXPECT_EQ(got.speedup, expected[i].speedup);
+    EXPECT_EQ(got.num_tasks, expected[i].num_tasks);
+    EXPECT_EQ(got.num_comms, expected[i].num_comms);
   }
 }
 
