@@ -9,9 +9,9 @@
 //     routed lower-bound pruning in evaluate_best are measured too, and
 //     MICROSVC's wide fan-in on a 64-processor mesh, where the routed
 //     one-port bounds prune the most;
-//   * the figure-grid sweep driver run serially vs with the thread pool
-//     -- including a routed grid -- so the parallel experiment runner is
-//     tracked end to end;
+//   * the figure-grid sweep driver run serially vs on every hardware
+//     thread -- including a routed grid -- so the parallel experiment
+//     runner is tracked end to end;
 //   * the online rescheduler (src/dynamic) replaying named fault traces
 //     over the scale graphs, so the prefix-freeze + suffix-rebuild loop
 //     has its own trajectory;
@@ -65,8 +65,8 @@
 #include "sched/validate.hpp"
 #include "testbeds/testbeds.hpp"
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 #include "util/profiler.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -403,8 +403,8 @@ void register_sweep_benchmarks() {
   // points, the shape the figure benches sweep.
   const std::vector<analysis::SweepPoint> grid = analysis::make_sweep_grid(
       {"LU", "FORK-JOIN"}, {100, 200, 300}, {"heft-oneport", "ilha-oneport"});
-  // The same grid over sparse topologies: routed points farm across the
-  // same pool and share cached RoutingTables, so the driver timing shows
+  // The same grid over sparse topologies: routed points run on the same
+  // threads and share cached RoutingTables, so the driver timing shows
   // the chain-scheduling cost rather than repeated table builds.
   const std::vector<analysis::SweepPoint> routed_grid =
       analysis::make_sweep_grid({"LU", "FORK-JOIN"}, {100, 200, 300},
@@ -439,8 +439,7 @@ void register_sweep_benchmarks() {
           }
           state.counters["points"] = static_cast<double>(grid.size());
           state.counters["workers"] = static_cast<double>(
-              d.workers == 0 ? ThreadPool::default_workers()
-                             : static_cast<unsigned>(d.workers));
+              util::resolve_workers(static_cast<unsigned>(d.workers)));
           state.counters["total_makespan"] = total_makespan;
           attach_profile_counters(state);
         })

@@ -57,7 +57,7 @@ std::vector<std::string> split_list(const std::string& csv_list) {
 std::vector<int> split_ints(const std::string& csv_list) {
   std::vector<int> out;
   for (const std::string& item : split_list(csv_list)) {
-    const int value = std::atoi(item.c_str());
+    const int value = parse_int_flag("sizes", item);
     ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
     out.push_back(value);
   }

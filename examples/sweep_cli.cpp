@@ -1,6 +1,6 @@
 // Command-line sweep driver (ROADMAP item): run the general
-// (topology, testbed, n, scheduler) grid of analysis::run_sweep across
-// the thread pool and write the results as terminal table, CSV, and/or
+// (topology, testbed, n, scheduler) grid of analysis::run_sweep on
+// --workers threads and write the results as terminal table, CSV, and/or
 // google-benchmark-shaped JSON artifacts (the format bench/run_all.sh
 // collects under bench/out/).
 //
@@ -67,7 +67,7 @@ std::vector<std::string> split_list(const std::string& csv_list) {
 std::vector<int> split_ints(const std::string& csv_list) {
   std::vector<int> out;
   for (const std::string& item : split_list(csv_list)) {
-    const int value = std::atoi(item.c_str());
+    const int value = parse_int_flag("sizes", item);
     ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
     out.push_back(value);
   }
@@ -94,10 +94,10 @@ void write_json(std::ostream& os,
      << "    \"executable\": \"sweep_cli\",\n"
      << "    \"workers\": " << workers;
   // Per-thread scalability profile (ONEPORT_PROFILE=1): the aggregate
-  // counter vector over every worker slab, at quiescence (the pool has
-  // drained by the time artifacts are written).  Absent entirely when
-  // the profiler is disabled, so its presence is itself the smoke
-  // signal CI greps for.
+  // counter vector over every worker slab, at quiescence (run_sweep has
+  // joined its threads by the time artifacts are written).  Absent
+  // entirely when the profiler is disabled, so its presence is itself
+  // the smoke signal CI greps for.
   if (prof::enabled()) {
     const prof::Counts totals = prof::aggregate();
     os << ",\n    \"profile\": {\n"
@@ -221,6 +221,8 @@ int run(int argc, char** argv) {
   const double comm_ratio = args.get_double("comm-ratio", 10.0);
   const int chunk = args.get_int("chunk", 38);
   const int workers = args.get_int("workers", 0);
+  ensure(workers >= 0,
+         "--workers must not be negative (0 = every hardware thread)");
   const auto topology_seed =
       static_cast<std::uint64_t>(args.get_int("topology-seed", 1));
   ensure(!testbeds.empty() && !sizes.empty() && !schedulers.empty() &&

@@ -14,18 +14,9 @@
 #include "sched/validate.hpp"
 #include "testbeds/registry.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace oneport::analysis {
-
-namespace {
-
-unsigned resolve_workers(int workers) {
-  return workers <= 0 ? ThreadPool::default_workers()
-                      : static_cast<unsigned>(workers);
-}
-
-}  // namespace
 
 std::vector<SweepPoint> make_sweep_grid(
     const std::vector<std::string>& testbed_names,
@@ -143,11 +134,15 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
 std::vector<SweepResult> run_sweep(const std::vector<SweepPoint>& grid,
                                    const Platform& platform,
                                    const SweepOptions& options) {
+  OP_REQUIRE(options.workers >= 0,
+             "SweepOptions::workers must not be negative; got "
+                 << options.workers);
   std::vector<SweepResult> results(grid.size());
-  ThreadPool pool(resolve_workers(options.workers));
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    results[i] = run_sweep_point(grid[i], platform, options);
-  });
+  util::parallel_for(
+      static_cast<unsigned>(options.workers), grid.size(),
+      [&](std::size_t i) {
+        results[i] = run_sweep_point(grid[i], platform, options);
+      });
   return results;
 }
 

@@ -4,10 +4,10 @@
 // the grid {one testbed} x {100..500} x {heft-oneport, ilha-oneport},
 // which figure_table lays out as the paper plots it.
 //
-// run_sweep farms its points over a util/thread_pool.hpp worker pool
-// (`workers` knob; 1 = serial, 0 = hardware concurrency) and always
-// returns rows in grid order -- every point is a pure function of its
-// inputs, so the results are identical whatever the worker count.
+// run_sweep runs its points through util::parallel_for
+// (SweepOptions::workers threads; 1 = serial, 0 = every hardware thread)
+// and always returns rows in grid order -- every point is a pure function
+// of its inputs, so the results are identical whatever the worker count.
 #pragma once
 
 #include <cstddef>
@@ -88,7 +88,9 @@ struct SweepResult {
 };
 
 struct SweepOptions {
-  int workers = 0;  ///< 0 = hardware concurrency, 1 = serial
+  /// Threads run_sweep starts (at most one per point): 0 = every
+  /// hardware thread, 1 = serial on the caller; negative is rejected.
+  int workers = 0;
   /// Validate every schedule under its scheduler's communication model
   /// (SchedulerEntry::model); throws std::logic_error on the first
   /// violation.
@@ -119,7 +121,8 @@ struct SweepOptions {
     const std::vector<bool>& rebalance = {false});
 
 /// Runs every grid point (in parallel per SweepOptions::workers) and
-/// returns results in grid order.  Static points are validated per
+/// returns results in grid order; throws std::invalid_argument when
+/// `workers` is negative.  Static points are validated per
 /// SweepOptions::validate; dynamic points (events != "none") are checked
 /// by the rescheduler's own internal invariants instead -- the static
 /// validators cannot judge a composite whose durations follow
@@ -129,8 +132,8 @@ struct SweepOptions {
     const std::vector<SweepPoint>& grid, const Platform& platform,
     const SweepOptions& options = {});
 
-/// Runs ONE grid point -- the exact code path run_sweep farms across the
-/// thread pool, exposed so other executors (the scheduler service in
+/// Runs ONE grid point -- the exact code path each run_sweep thread runs,
+/// exposed so other executors (the scheduler service in
 /// src/service/) produce bit-identical results by construction.  Routed
 /// points resolve their network through `process_topology_cache()`.
 [[nodiscard]] SweepResult run_sweep_point(const SweepPoint& point,

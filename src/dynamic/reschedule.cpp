@@ -9,7 +9,6 @@
 #include "platform/load_balance.hpp"
 #include "platform/routing.hpp"
 #include "sched/interval.hpp"
-#include "sched/replay.hpp"
 #include "sched/timeline.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"

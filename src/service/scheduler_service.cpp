@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 
 namespace oneport::service {
 
@@ -41,13 +42,11 @@ const char* backpressure_name(Backpressure mode) noexcept {
 SchedulerService::SchedulerService(const Platform& platform,
                                    const ServiceOptions& options)
     : platform_(platform),
-      shards_(options.shards > 0
-                  ? options.shards
-                  : std::max(1u, std::thread::hardware_concurrency())),
+      shards_(util::resolve_workers(options.shards)),
       depth_(options.queue_depth),
       batch_(options.batch_size),
       mode_(options.backpressure),
-      sweep_options_{.workers = 1, .validate = options.validate} {
+      sweep_options_{.validate = options.validate} {
   require(depth_ > 0, "service queue depth must be positive");
   require(batch_ > 0, "service batch size must be positive");
   try {

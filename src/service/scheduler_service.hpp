@@ -17,7 +17,7 @@
 //     admits a whole batch, so queue-mutex traffic scales with batches,
 //     not requests;
 //   * every request runs through analysis::run_sweep_point -- the exact
-//     executor run_sweep farms over the pool, resolving routed platforms
+//     executor each run_sweep thread runs, resolving routed platforms
 //     through the same process-wide cache -- so a service schedule is
 //     bit-identical to the same job run through the batch path
 //     (tests/service_test.cpp pins this);
@@ -54,7 +54,7 @@ enum class Backpressure { kBlock, kReject };
 inline constexpr int kRetryAfterMs = 1;
 
 struct ServiceOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency() (at least 1).
+  /// Worker threads; 0 = every hardware thread (util::resolve_workers).
   unsigned shards = 0;
   /// Request-queue bound; must be positive.
   std::size_t queue_depth = 256;

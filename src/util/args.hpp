@@ -1,15 +1,36 @@
 // Tiny command-line parser for the examples and benchmark harnesses.
 // Accepts "--key=value" and "--flag"; anything else is a positional.
+// get_int and get_double take a value only as one whole number token
+// and throw std::invalid_argument naming the flag otherwise, so "2x",
+// "abc" or "nan" never runs as some other number.
 #pragma once
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
-#include "util/error.hpp"
+#include "util/text_reader.hpp"
 
 namespace oneport {
+
+/// All of `value` as a decimal int ([-]digits, nothing after); throws
+/// std::invalid_argument naming --`flag` and the value otherwise.
+[[nodiscard]] inline int parse_int_flag(std::string_view flag,
+                                        std::string_view value) {
+  int parsed = 0;
+  const char* const last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, parsed);
+  if (ptr == last && ec == std::errc{}) return parsed;
+  throw std::invalid_argument(
+      "--" + std::string(flag) + " expects an integer" +
+      (ec == std::errc::result_out_of_range ? " in int's range" : "") +
+      ", got '" + std::string(value) + "'");
+}
 
 class Args {
  public:
@@ -37,14 +58,25 @@ class Args {
     const auto it = options_.find(key);
     return it == options_.end() ? fallback : it->second;
   }
+  /// `fallback` when --`key` is absent, else parse_int_flag of its value.
   [[nodiscard]] int get_int(const std::string& key, int fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback : std::atoi(it->second.c_str());
+    return it == options_.end() ? fallback : parse_int_flag(key, it->second);
   }
+  /// `fallback` when --`key` is absent, else all of its value as a
+  /// finite double (util/text_reader.hpp's parse_real grammar); throws
+  /// std::invalid_argument naming --`key` and the value otherwise.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == options_.end()) return fallback;
+    double parsed = 0.0;
+    if (parse_real(it->second, parsed) == NumberStatus::kOk &&
+        std::isfinite(parsed)) {
+      return parsed;
+    }
+    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
+                                it->second + "'");
   }
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

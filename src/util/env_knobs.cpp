@@ -14,7 +14,6 @@ namespace {
 //   {"NAME", "default", "consumer", "summary"},
 constexpr std::array<KnobInfo, kNumKnobs> kCatalog = {{
     {"ONEPORT_PROFILE", "0", "src/util/profiler.cpp", "enable the per-thread scalability profiler (counters surface in bench JSON and sweep_cli --json)"},
-    {"ONEPORT_WORKERS", "hardware", "src/util/thread_pool.hpp", "default thread-pool width for run_sweep (0 or unset = hardware concurrency)"},
     {"ONEPORT_SWEEP_SEEDS", "0", "tests/property_sweep_test.cpp", "extra seeded property-sweep repetitions for CI/nightly deepening"},
 }};
 

@@ -27,7 +27,6 @@ namespace oneport::env {
 /// env_knobs.cpp and docs/KNOBS.md in sync (the lint checks both).
 enum class Knob : std::size_t {
   kProfile = 0,         ///< ONEPORT_PROFILE: enable the per-thread profiler
-  kWorkers,             ///< ONEPORT_WORKERS: default thread-pool width
   kSweepSeeds,          ///< ONEPORT_SWEEP_SEEDS: extra property-sweep seeds
   kCount,
 };

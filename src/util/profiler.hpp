@@ -1,7 +1,7 @@
 // Per-thread scalability profiler: cache-line-padded counter slabs in
 // the style of nfos' scalability-profiler, wired into the scheduling hot
-// path (timeline probes, prune hits/misses, overlay resets, pool task
-// latencies).
+// path (timeline probes, prune hits/misses, overlay resets,
+// parallel_for thread latencies).
 //
 // Design constraints, in order:
 //   1. *Provably* zero overhead when compiled out: configuring with
@@ -45,8 +45,8 @@ enum class Counter : std::uint32_t {
   /// (TimelineIndex keeps fixed-size gap blocks); kept because the
   /// repository benchmark reports it as sched.gap_flushes.
   kGapFlushes,
-  kPoolTasks,              ///< thread-pool jobs executed
-  kPoolTaskNanos,          ///< total wall nanoseconds inside pool jobs
+  kPoolTasks,              ///< threads util::parallel_for started
+  kPoolTaskNanos,          ///< total wall nanoseconds of those threads
   kCount,
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -164,6 +165,47 @@ TEST(Experiment, SweepReportsEpochImbalance) {
   const csv::Table table = sweep_table(results);
   EXPECT_EQ(table.rows()[0][5], "off");
   EXPECT_EQ(table.rows()[1][5], "on");
+}
+
+// Every point is a pure function of its inputs, so four threads return
+// the serial rows bit for bit: static and dynamic points, full and
+// routed networks, audited and not.  A negative count is rejected.
+TEST(Experiment, ResultsDoNotDependOnWorkerCount) {
+  const std::vector<SweepPoint> grid = make_sweep_grid(
+      {"LU", "MICROSVC"}, {10}, {"heft-oneport", "ilha-oneport"}, 10.0, 38,
+      {"full", "mesh3x3:het0.5:swp"}, {"none", "mixed"}, {false, true});
+  const Platform platform = make_paper_platform();
+  SweepOptions options{.audit_gap = true, .audit_node_budget = 20'000};
+  options.workers = 1;
+  const std::vector<SweepResult> serial = run_sweep(grid, platform, options);
+  options.workers = 4;
+  const std::vector<SweepResult> parallel = run_sweep(grid, platform, options);
+  ASSERT_EQ(serial.size(), grid.size());
+  ASSERT_EQ(parallel.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const SweepResult& a = serial[i];
+    const SweepResult& b = parallel[i];
+    SCOPED_TRACE(a.point.topology + "/" + a.point.testbed + "/" +
+                 a.point.scheduler + "/" + a.point.events +
+                 (a.point.rebalance ? "/rebalance" : ""));
+    EXPECT_EQ(b.point.testbed, a.point.testbed);
+    EXPECT_EQ(b.point.topology, a.point.topology);
+    EXPECT_EQ(b.point.scheduler, a.point.scheduler);
+    EXPECT_EQ(b.point.events, a.point.events);
+    EXPECT_EQ(b.point.rebalance, a.point.rebalance);
+    EXPECT_EQ(b.makespan, a.makespan);
+    EXPECT_EQ(b.speedup, a.speedup);
+    EXPECT_EQ(b.num_comms, a.num_comms);
+    EXPECT_EQ(b.imbalance_before, a.imbalance_before);
+    EXPECT_EQ(b.imbalance_after, a.imbalance_after);
+    EXPECT_EQ(b.audited, a.audited);
+    EXPECT_EQ(b.lower_bound, a.lower_bound);
+    EXPECT_EQ(b.optimality_gap, a.optimality_gap);
+    EXPECT_EQ(b.lb_proven, a.lb_proven);
+  }
+  options.workers = -1;
+  EXPECT_THROW((void)run_sweep(grid, platform, options),
+               std::invalid_argument);
 }
 
 }  // namespace

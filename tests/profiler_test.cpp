@@ -17,8 +17,8 @@
 #include "sched/schedule.hpp"
 #include "support/scenario.hpp"
 #include "util/env_knobs.hpp"
+#include "util/parallel_for.hpp"
 #include "util/profiler.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oneport {
 namespace {
@@ -45,9 +45,8 @@ TEST(ProfilerDisabled, NeverAllocatesSlabsOrMovesCounters) {
   const Scenario scenario = make_scenario();
   const Schedule schedule = run_heft(scenario);
   ASSERT_GT(schedule.num_tasks(), 0u);
-  // Exercise the thread-pool probe sites too.
-  ThreadPool pool(2);
-  pool.parallel_for(16, [](std::size_t) {});
+  // Exercise the parallel_for probe sites too.
+  util::parallel_for(2, 16, [](std::size_t) {});
   EXPECT_EQ(prof::slab_count(), 0u)
       << "the disabled path allocated a counter slab, breaking the "
          "zero-overhead contract";
@@ -133,11 +132,17 @@ TEST(Profiler, PoolJobsAreCountedWithWallTime) {
   if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   prof::ScopedProfiler guard(true);
   prof::reset();
-  ThreadPool pool(2);
-  pool.parallel_for(32, [](std::size_t) {});
-  const prof::Counts totals = prof::aggregate();
-  EXPECT_EQ(totals[static_cast<std::size_t>(prof::Counter::kPoolTasks)], 2u)
-      << "parallel_for submits one lane job per worker";
+  const auto pool_tasks = [] {
+    return prof::aggregate()[static_cast<std::size_t>(
+        prof::Counter::kPoolTasks)];
+  };
+  util::parallel_for(2, 32, [](std::size_t) {});
+  EXPECT_EQ(pool_tasks(), 2u) << "each started thread counts once";
+  // Never more threads than indices; one thread runs inline, uncounted.
+  util::parallel_for(4, 3, [](std::size_t) {});
+  EXPECT_EQ(pool_tasks(), 5u);
+  util::parallel_for(4, 1, [](std::size_t) {});
+  EXPECT_EQ(pool_tasks(), 5u);
 }
 
 // The behavioral pin: profiling observes, never steers.  The same

@@ -32,7 +32,7 @@
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
 #include "service/scheduler_service.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace oneport {
 namespace {
@@ -109,22 +109,16 @@ TEST(SchedulerService, ContendedSubmitDrainCompletesEverything) {
   constexpr std::size_t kSubmitters = 4;
   constexpr std::size_t kPerSubmitter = 32;
   std::atomic<std::uint64_t> resolved{0};
-  {
-    ThreadPool submitters(kWorkers);
-    for (std::size_t s = 0; s < kSubmitters; ++s) {
-      submitters.submit([&svc, &resolved] {
-        for (std::size_t i = 0; i < kPerSubmitter; ++i) {
-          service::Ticket ticket =
-              svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
-          ASSERT_TRUE(ticket.accepted);  // block mode never rejects live
-          const service::Response response = ticket.response.get();
-          EXPECT_EQ(response.result.point.testbed, "FORK-JOIN");
-          resolved.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+  util::parallel_for(kWorkers, kSubmitters, [&](std::size_t) {
+    for (std::size_t i = 0; i < kPerSubmitter; ++i) {
+      service::Ticket ticket =
+          svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
+      ASSERT_TRUE(ticket.accepted);  // block mode never rejects live
+      const service::Response response = ticket.response.get();
+      EXPECT_EQ(response.result.point.testbed, "FORK-JOIN");
+      resolved.fetch_add(1, std::memory_order_relaxed);
     }
-    submitters.wait_idle();
-  }
+  });
   svc.drain();
   const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(resolved.load(), kSubmitters * kPerSubmitter);
@@ -288,8 +282,7 @@ TEST(ShardedTopologyCache, ShardGetIsOneInstancePerKeyUnderContention) {
   const std::vector<double> cycles{4.0, 5.0, 6.0, 10.0};
   constexpr std::size_t kLookups = 256;
   std::vector<std::shared_ptr<const RoutedPlatform>> got(kLookups);
-  ThreadPool pool(kWorkers);
-  pool.parallel_for(kLookups, [&](std::size_t i) {
+  util::parallel_for(kWorkers, kLookups, [&](std::size_t i) {
     got[i] = shard.get(i % 2 == 0 ? "ring" : "star", cycles, /*link=*/1.0,
                        /*seed=*/i % 3);
   });

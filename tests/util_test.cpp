@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -173,12 +174,38 @@ TEST(Args, LastDuplicateWinsAndEmptyValues) {
   EXPECT_EQ(args.get("flag", "fallback"), "");
 }
 
-TEST(Args, NonNumericValuesFallBackToZero) {
-  const char* argv[] = {"prog", "--n=abc", "--x=xyz"};
-  const Args args(3, argv);
-  // std::atoi / std::atof semantics: unparsable -> 0 (not the fallback).
-  EXPECT_EQ(args.get_int("n", 5), 0);
-  EXPECT_DOUBLE_EQ(args.get_double("x", 5.0), 0.0);
+// A numeric value is one whole token: never its prefix, 0, or a wrapped
+// int.  The rejection names the flag and the value.
+TEST(Args, MalformedNumbersAreRejected) {
+  const char* argv[] = {"prog",         "--abc=abc",  "--trailing=2x",
+                        "--exp=1e3",    "--nan=nan",  "--big=99999999999",
+                        "--inf=inf",    "--xtra=1.5x", "--huge=1e400",
+                        "--empty=",     "--neg=-3"};
+  const Args args(11, argv);
+  const auto rejects_int = [&args](const std::string& key,
+                                   const std::string& value) {
+    try {
+      (void)args.get_int(key, 5);
+      ADD_FAILURE() << "--" << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + key), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("'" + value + "'"),
+                std::string::npos);
+    }
+  };
+  rejects_int("abc", "abc");
+  rejects_int("trailing", "2x");
+  rejects_int("exp", "1e3");
+  rejects_int("big", "99999999999");
+  rejects_int("empty", "");
+  EXPECT_EQ(args.get_int("neg", 5), -3);  // the callers bound the sign
+  for (const char* key : {"abc", "nan", "inf", "xtra", "huge", "empty"}) {
+    EXPECT_THROW((void)args.get_double(key, 5.0), std::invalid_argument)
+        << key;
+  }
+  EXPECT_DOUBLE_EQ(args.get_double("exp", 5.0), 1000.0);
+  EXPECT_EQ(parse_int_flag("sizes", "40"), 40);
+  EXPECT_THROW((void)parse_int_flag("sizes", "40 "), std::invalid_argument);
 }
 
 TEST(Args, NoArgumentsIsEmpty) {
