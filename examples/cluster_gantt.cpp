@@ -37,12 +37,10 @@ Platform make_two_rack_cluster() {
   return Platform({1.0, 1.0, 1.0, 2.0, 2.0, 2.0}, std::move(link));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   testbeds::RandomDagOptions options;
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  options.seed = args.get_u64("seed", 7);
   options.layers = args.get_int("layers", 10);
   options.max_width = args.get_int("width", 5);
   options.comm_ratio = args.get_double("c", 2.0);
@@ -77,4 +75,15 @@ int main(int argc, char** argv) {
     std::cout << "SVG written to " << file << "\n\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "cluster_gantt: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -17,7 +17,9 @@
 
 using namespace oneport;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   const std::string testbed_name = args.get("testbed", "LU");
   const int n = args.get_int("n", 100);
@@ -49,4 +51,15 @@ int main(int argc, char** argv) {
   }
   table.write_pretty(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "compare_heuristics: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -7,8 +7,12 @@
 // greedy heuristic.
 //
 //   $ ./examples/np_hardness_demo --values=3,1,1,2,2,1
+#include <charconv>
+#include <cstdint>
 #include <iostream>
-#include <sstream>
+#include <string>
+#include <system_error>
+#include <vector>
 
 #include "exact/reductions.hpp"
 #include "exact/two_partition.hpp"
@@ -20,20 +24,23 @@ using namespace oneport;
 
 namespace {
 
+/// --values as whole decimal tokens, so "3x" is rejected rather than
+/// read as 3.
 std::vector<std::int64_t> parse_values(const std::string& csv) {
   std::vector<std::int64_t> values;
-  std::istringstream iss(csv);
-  std::string item;
-  while (std::getline(iss, item, ',')) {
-    values.push_back(std::stoll(item));
+  for (const std::string& item : split_list(csv)) {
+    std::int64_t value = 0;
+    const char* const last = item.data() + item.size();
+    const auto [ptr, ec] = std::from_chars(item.data(), last, value);
+    require(ptr == last && ec == std::errc{},
+            "--values expects comma-separated integers, got '" + item + "'");
+    values.push_back(value);
   }
   require(!values.empty(), "need at least one value");
   return values;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   const std::vector<std::int64_t> values =
       parse_values(args.get("values", "3,1,1,2,2,1"));
@@ -90,4 +97,15 @@ int main(int argc, char** argv) {
   std::cout << "\nBoth bounds are met exactly when the partition exists -- "
                "the reductions at work.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "np_hardness_demo: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -20,7 +20,9 @@
 
 using namespace oneport;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   const std::string testbed_name = args.get("testbed", "LAPLACE");
   const int n = args.get_int("n", 24);
@@ -60,18 +62,14 @@ int main(int argc, char** argv) {
 
   const Platform full(cycles, 1.0);
   run("full", full, nullptr);
-  const RoutedPlatform ring = make_ring_platform(cycles, 1.0);
-  run("ring", ring.platform, &ring.routing);
-  const RoutedPlatform star = make_star_platform(cycles, 1.0);
-  run("star", star.platform, &star.routing);
-  // The structured networks of ISSUE-4: the same six processors as a 2x3
-  // mesh and torus (XY dimension-ordered routes), and their speeds
-  // recycled over a 2-level arity-2 fat tree (up-down routes, links
-  // tapering fatter toward the root).  The ':'-suffixed names (ISSUE-5)
-  // make link heterogeneity and routing policy part of the axis: seeded
-  // +/-50% link jitter routed cost-aware (swp), and the alternating-XY
-  // load-spreading policy on the uniform torus.
-  for (const char* name : {"mesh2x3", "torus2x3", "fattree2x2",
+  // The same six processors as a ring and a star, and as a 2x3 mesh and
+  // torus (XY dimension-ordered routes); their speeds recycled over a
+  // 2-level arity-2 fat tree (up-down routes, links tapering fatter
+  // toward the root).  The ':'-suffixed names make link heterogeneity
+  // and routing policy part of the axis: seeded +/-50% link jitter
+  // routed cost-aware (swp), and the alternating-XY load-spreading
+  // policy on the uniform torus.
+  for (const char* name : {"ring", "star", "mesh2x3", "torus2x3", "fattree2x2",
                            "mesh2x3:het0.5:swp", "torus2x3:alt"}) {
     const RoutedPlatform routed = make_topology_platform(name, cycles, 1.0);
     run(name, routed.platform, &routed.routing);
@@ -85,4 +83,15 @@ int main(int argc, char** argv) {
                "in the topology) cost makespan, the star's hub being the "
                "worst bottleneck.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "routed_network: " << e.what() << "\n";
+    return 1;
+  }
 }

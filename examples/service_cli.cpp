@@ -30,7 +30,6 @@
 #include <fstream>
 #include <iostream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,26 +42,6 @@
 namespace {
 
 using namespace oneport;
-
-std::vector<std::string> split_list(const std::string& csv_list) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::vector<int> split_ints(const std::string& csv_list) {
-  std::vector<int> out;
-  for (const std::string& item : split_list(csv_list)) {
-    const int value = parse_int_flag("sizes", item);
-    ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
-    out.push_back(value);
-  }
-  return out;
-}
 
 /// The seeded request stream: request i is a uniform draw over the
 /// testbed/size/scheduler axes from an engine seeded once, so the same
@@ -159,12 +138,13 @@ int run(int argc, char** argv) {
 
   const std::vector<std::string> testbeds =
       split_list(args.get("testbeds", "LU,FORK-JOIN,STENCIL"));
-  const std::vector<int> sizes = split_ints(args.get("sizes", "20,40,80"));
+  const std::vector<int> sizes =
+      split_ints("sizes", args.get("sizes", "20,40,80"));
   const std::vector<std::string> schedulers =
       split_list(args.get("schedulers", "heft-oneport,ilha-oneport"));
   ensure(!testbeds.empty() && !sizes.empty() && !schedulers.empty(),
          "every stream axis needs at least one entry");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::uint64_t seed = args.get_u64("seed", 1);
   const int requests = args.get_int("requests", 200);
   const double seconds = args.get_double("seconds", 0.0);
   ensure(requests > 0 || seconds > 0.0,

@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,26 +52,6 @@
 namespace {
 
 using namespace oneport;
-
-std::vector<std::string> split_list(const std::string& csv_list) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::vector<int> split_ints(const std::string& csv_list) {
-  std::vector<int> out;
-  for (const std::string& item : split_list(csv_list)) {
-    const int value = parse_int_flag("sizes", item);
-    ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
-    out.push_back(value);
-  }
-  return out;
-}
 
 /// JSON string escaping for the few metadata fields we emit.
 std::string json_escape(const std::string& s) {
@@ -196,7 +175,8 @@ int run(int argc, char** argv) {
 
   const std::vector<std::string> testbeds =
       split_list(args.get("testbeds", "LU,FORK-JOIN"));
-  const std::vector<int> sizes = split_ints(args.get("sizes", "100,200"));
+  const std::vector<int> sizes =
+      split_ints("sizes", args.get("sizes", "100,200"));
   const std::vector<std::string> schedulers =
       split_list(args.get("schedulers", "heft-oneport,ilha-oneport"));
   const std::vector<std::string> topologies =
@@ -223,8 +203,7 @@ int run(int argc, char** argv) {
   const int workers = args.get_int("workers", 0);
   ensure(workers >= 0,
          "--workers must not be negative (0 = every hardware thread)");
-  const auto topology_seed =
-      static_cast<std::uint64_t>(args.get_int("topology-seed", 1));
+  const std::uint64_t topology_seed = args.get_u64("topology-seed", 1);
   ensure(!testbeds.empty() && !sizes.empty() && !schedulers.empty() &&
              !topologies.empty() && !events.empty() && !rebalance.empty(),
          "every grid axis needs at least one entry");

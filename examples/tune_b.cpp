@@ -15,7 +15,9 @@
 
 using namespace oneport;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   const std::string testbed_name = args.get("testbed", "LU");
   const int n = args.get_int("n", 150);
@@ -54,4 +56,15 @@ int main(int argc, char** argv) {
   std::cout << "\nbest B here: " << best_b << " (ratio "
             << csv::format_number(best_ratio) << ")\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "tune_b: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -10,76 +10,32 @@
 
 namespace oneport {
 
-namespace linkcost {
-
 namespace {
 
-/// One SplitMix64 draw keyed by (seed, canonical endpoint pair): every
-/// link gets its own independent stream position, so costs are a pure
-/// function of the endpoints regardless of link enumeration order.
-double edge_uniform01(std::uint64_t seed, ProcId u, ProcId v) {
-  const auto a = static_cast<std::uint64_t>(u < v ? u : v);
-  const auto b = static_cast<std::uint64_t>(u < v ? v : u);
-  SplitMix64 rng(seed * 0x9E3779B97F4A7C15ULL + a * 0xBF58476D1CE4E5B9ULL +
-                 b * 0x94D049BB133111EBULL + 0x2545F4914F6CDD1DULL);
-  return rng.uniform01();
+/// True when a chain of existing (finite) links joins `from` to `to`.
+/// Only an error path asks: it tells a disconnected network from one
+/// whose every route between a pair costs more than a double holds.
+bool linked(const Platform& platform, ProcId from, ProcId to) {
+  const int p = platform.num_processors();
+  std::vector<char> seen(static_cast<std::size_t>(p), 0);
+  std::vector<ProcId> stack{from};
+  seen[static_cast<std::size_t>(from)] = 1;
+  while (!stack.empty()) {
+    const ProcId q = stack.back();
+    stack.pop_back();
+    if (q == to) return true;
+    for (ProcId r = 0; r < p; ++r) {
+      if (seen[static_cast<std::size_t>(r)] == 0 &&
+          std::isfinite(platform.link(q, r))) {
+        seen[static_cast<std::size_t>(r)] = 1;
+        stack.push_back(r);
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace
-
-LinkCostFn jitter(double amplitude, std::uint64_t seed) {
-  OP_REQUIRE(amplitude > 0.0 && amplitude < 1.0,
-             "jitter amplitude must be in (0, 1), got " << amplitude);
-  return [amplitude, seed](ProcId u, ProcId v, int /*dim*/, double base) {
-    return base * (1.0 - amplitude +
-                   2.0 * amplitude * edge_uniform01(seed, u, v));
-  };
-}
-
-LinkCostFn hotspot(double probability, double factor, std::uint64_t seed) {
-  OP_REQUIRE(probability > 0.0 && probability <= 1.0,
-             "hotspot probability must be in (0, 1], got " << probability);
-  OP_REQUIRE(factor > 0.0 && std::isfinite(factor),
-             "hotspot factor must be positive and finite");
-  // Salted so a link's hotspot toss is independent of its jitter draw
-  // when both suffixes share the topology seed.
-  const std::uint64_t salted = seed ^ 0xD1B54A32D192ED03ULL;
-  return [probability, factor, salted](ProcId u, ProcId v, int /*dim*/,
-                                       double base) {
-    return edge_uniform01(salted, u, v) < probability ? base * factor : base;
-  };
-}
-
-LinkCostFn anisotropy(double factor) {
-  OP_REQUIRE(factor > 0.0 && std::isfinite(factor),
-             "anisotropy factor must be positive and finite");
-  return [factor](ProcId /*u*/, ProcId /*v*/, int dim, double base) {
-    return dim == 1 ? base * factor : base;
-  };
-}
-
-LinkCostFn compose(std::vector<LinkCostFn> fns) {
-  return [fns = std::move(fns)](ProcId u, ProcId v, int dim, double base) {
-    for (const LinkCostFn& fn : fns) base = fn(u, v, dim, base);
-    return base;
-  };
-}
-
-}  // namespace linkcost
-
-const char* routing_policy_name(RoutingPolicy policy) {
-  switch (policy) {
-    case RoutingPolicy::kDimensionOrdered:
-      return "xy";
-    case RoutingPolicy::kAlternating:
-      return "alt";
-    case RoutingPolicy::kUpDown:
-      return "updown";
-    case RoutingPolicy::kWeightedShortest:
-      return "swp";
-  }
-  return "?";
-}
 
 RoutingTable::RoutingTable(int p, Matrix<int> next)
     : p_(p),
@@ -163,6 +119,11 @@ RoutingTable RoutingTable::shortest_paths(const Platform& platform) {
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
+      OP_REQUIRE(std::isfinite(dist(i, j)) ||
+                     !linked(platform, static_cast<ProcId>(i),
+                             static_cast<ProcId>(j)),
+                 "the cost of the route P" << i << " -> P" << j
+                                           << " overflows a double");
       OP_REQUIRE(std::isfinite(dist(i, j)),
                  "network is disconnected: no route P" << i << " -> P" << j);
     }
@@ -229,97 +190,6 @@ RouteCosts fold_route_costs(const RoutingTable& routing,
   return costs;
 }
 
-RoutedPlatform make_ring_platform(std::vector<double> cycle_times,
-                                  double link) {
-  const auto n = cycle_times.size();
-  OP_REQUIRE(n >= 2, "a ring needs at least two processors");
-  OP_REQUIRE(link > 0.0 && std::isfinite(link), "link cost must be finite");
-  Matrix<double> m(n, n, kNoLink);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = 0.0;
-    m(i, (i + 1) % n) = link;
-    m((i + 1) % n, i) = link;
-  }
-  Platform platform(std::move(cycle_times), std::move(m));
-  RoutingTable routing = RoutingTable::shortest_paths(platform);
-  return {std::move(platform), std::move(routing)};
-}
-
-RoutedPlatform make_star_platform(std::vector<double> cycle_times,
-                                  double link) {
-  const auto n = cycle_times.size();
-  OP_REQUIRE(n >= 2, "a star needs at least two processors");
-  OP_REQUIRE(link > 0.0 && std::isfinite(link), "link cost must be finite");
-  Matrix<double> m(n, n, kNoLink);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = 0.0;
-    if (i != 0) {
-      m(0, i) = link;
-      m(i, 0) = link;
-    }
-  }
-  Platform platform(std::move(cycle_times), std::move(m));
-  RoutingTable routing = RoutingTable::shortest_paths(platform);
-  return {std::move(platform), std::move(routing)};
-}
-
-RoutedPlatform make_line_platform(std::vector<double> cycle_times,
-                                  double link) {
-  const auto n = cycle_times.size();
-  OP_REQUIRE(n >= 2, "a line needs at least two processors");
-  OP_REQUIRE(link > 0.0 && std::isfinite(link), "link cost must be finite");
-  Matrix<double> m(n, n, kNoLink);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = 0.0;
-    if (i + 1 < n) {
-      m(i, i + 1) = link;
-      m(i + 1, i) = link;
-    }
-  }
-  Platform platform(std::move(cycle_times), std::move(m));
-  RoutingTable routing = RoutingTable::shortest_paths(platform);
-  return {std::move(platform), std::move(routing)};
-}
-
-RoutedPlatform make_random_connected_platform(std::vector<double> cycle_times,
-                                              double edge_probability,
-                                              std::uint64_t seed,
-                                              double link_lo, double link_hi) {
-  const auto n = cycle_times.size();
-  OP_REQUIRE(n >= 2, "a random network needs at least two processors");
-  OP_REQUIRE(edge_probability >= 0.0 && edge_probability <= 1.0,
-             "edge probability must be in [0, 1]");
-  OP_REQUIRE(link_lo > 0.0 && link_hi >= link_lo && std::isfinite(link_hi),
-             "link cost range must be positive and finite");
-  SplitMix64 rng(seed * 0x2545F4914F6CDD1DULL + 0x9E3779B97F4A7C15ULL);
-  const auto draw = [&] {
-    return link_lo == link_hi ? link_lo : rng.uniform(link_lo, link_hi);
-  };
-  Matrix<double> m(n, n, kNoLink);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 0.0;
-  // Random spanning tree first (connectivity), extra edges second.
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t parent = rng.below(i);
-    const double cost = draw();
-    m(i, parent) = cost;
-    m(parent, i) = cost;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      // Always consume one draw per pair so the topology of edge (i, j)
-      // does not shift every later cost when the spanning tree changes.
-      const double toss = rng.uniform01();
-      if (std::isfinite(m(i, j)) || toss >= edge_probability) continue;
-      const double cost = draw();
-      m(i, j) = cost;
-      m(j, i) = cost;
-    }
-  }
-  Platform platform(std::move(cycle_times), std::move(m));
-  RoutingTable routing = RoutingTable::shortest_paths(platform);
-  return {std::move(platform), std::move(routing)};
-}
-
 namespace {
 
 /// Node-count ceiling for the parameterized structured topologies.  The
@@ -329,19 +199,47 @@ namespace {
 /// must fail fast with this error instead of dying in a ~2 TB allocation.
 constexpr long long kMaxTopologyNodes = 2048;
 
+/// True when the route from `from` to `to` reaches `to` within p hops
+/// and crosses only existing links.
+bool route_linked(const RoutingTable& routing, const Platform& platform,
+                  ProcId from, ProcId to) {
+  const int p = routing.num_processors();
+  ProcId cur = from;
+  for (int hops = 0; cur != to; ++hops) {
+    const int hop = routing.next_hops()(static_cast<std::size_t>(cur),
+                                        static_cast<std::size_t>(to));
+    if (hops == p || hop < 0 || hop >= p ||
+        !std::isfinite(platform.link(cur, hop))) {
+      return false;
+    }
+    cur = hop;
+  }
+  return true;
+}
+
 /// Wraps a structural policy's next-hop table and checks it with one
 /// fold over the platform's links: every route must end at its
 /// destination and cross only existing links, so every route cost comes
-/// out finite.  A failure is a bug in the builder, not in its input.
+/// out finite.  A route that does both and still sums to +inf overflows
+/// a double, which huge link costs in the input can cause; any other
+/// failure is a bug in the builder, not in its input.
 RoutingTable checked_structural_table(const Platform& platform,
                                       Matrix<int> next) {
   RoutingTable routing =
       RoutingTable::from_tables(platform.num_processors(), std::move(next));
   const Matrix<double> route = fold_route_costs(routing, platform).route;
-  OP_ASSERT(std::all_of(route.data(),
-                        route.data() + route.rows() * route.cols(),
-                        [](double c) { return std::isfinite(c); }),
-            "structural routing table has a hole, a loop or a missing link");
+  for (std::size_t i = 0; i < route.rows(); ++i) {
+    for (std::size_t j = 0; j < route.cols(); ++j) {
+      if (std::isfinite(route(i, j))) continue;
+      OP_REQUIRE(!route_linked(routing, platform, static_cast<ProcId>(i),
+                               static_cast<ProcId>(j)),
+                 "the cost of the route P" << i << " -> P" << j
+                                           << " overflows a double");
+      OP_ASSERT(false,
+                "structural routing table has a hole, a loop or a missing "
+                "link");
+    }
+  }
   return routing;
 }
 
@@ -408,8 +306,18 @@ std::vector<double> recycle_cycles(const std::vector<double>& cycle,
 /// can never disagree on a verdict.
 struct TopologySpec {
   enum class Kind { kRing, kStar, kLine, kRandom, kMesh, kTorus, kFatTree };
+  /// How the next-hop table is built (see make_topology_platform): the
+  /// structural policies, or shortest weighted paths, which the
+  /// unstructured names always use.
+  enum class Policy {
+    kDimensionOrdered,
+    kAlternating,
+    kUpDown,
+    kWeightedShortest
+  };
   Kind kind = Kind::kRing;
   TopologyDims dims;     ///< rows x cols / levels x arity (structured only)
+  std::size_t nodes = 0;  ///< processor count (structured only)
   double jitter = 0.0;   ///< :het<A> amplitude (0 = uniform)
   double hot = 0.0;      ///< :hot<P> probability (0 = no hotspots)
   double aniso = 1.0;    ///< :aniso<F> column-link factor (1 = isotropic)
@@ -417,7 +325,7 @@ struct TopologySpec {
   /// own flag for the duplicate-suffix check.
   bool has_aniso = false;
   bool has_policy = false;
-  RoutingPolicy policy = RoutingPolicy::kDimensionOrdered;
+  Policy policy = Policy::kWeightedShortest;
 
   [[nodiscard]] bool structured() const {
     return kind == Kind::kMesh || kind == Kind::kTorus ||
@@ -425,6 +333,11 @@ struct TopologySpec {
   }
   [[nodiscard]] bool mesh_like() const {
     return kind == Kind::kMesh || kind == Kind::kTorus;
+  }
+  /// Whether a cost suffix reprices the links.  ':aniso1' does not: it
+  /// equals the neutral factor.
+  [[nodiscard]] bool priced() const {
+    return jitter > 0.0 || hot > 0.0 || aniso != 1.0;
   }
 };
 
@@ -464,10 +377,13 @@ TopologySpec parse_topology_spec(const std::string& topology) {
     spec.kind = TopologySpec::Kind::kRandom;
   } else if (parse_dims(base, "mesh", spec.dims)) {
     spec.kind = TopologySpec::Kind::kMesh;
+    spec.policy = TopologySpec::Policy::kDimensionOrdered;
   } else if (parse_dims(base, "torus", spec.dims)) {
     spec.kind = TopologySpec::Kind::kTorus;
+    spec.policy = TopologySpec::Policy::kDimensionOrdered;
   } else if (parse_dims(base, "fattree", spec.dims)) {
     spec.kind = TopologySpec::Kind::kFatTree;
+    spec.policy = TopologySpec::Policy::kUpDown;
   } else {
     OP_REQUIRE(false, "unknown topology '" << topology
                                            << "'; known: "
@@ -481,10 +397,12 @@ TopologySpec parse_topology_spec(const std::string& topology) {
     OP_REQUIRE(nodes >= 2, "'" << base << "' needs at least two processors");
     OP_REQUIRE(nodes <= kMaxTopologyNodes,
                "'" << base << "' exceeds " << kMaxTopologyNodes << " nodes");
+    spec.nodes = static_cast<std::size_t>(nodes);
   } else if (spec.kind == TopologySpec::Kind::kFatTree) {
     OP_REQUIRE(spec.dims.b >= 2,
                "'" << base << "' needs an arity of at least 2");
-    fat_tree_node_count(spec.dims.a, spec.dims.b);  // throws over the cap
+    spec.nodes = static_cast<std::size_t>(
+        fat_tree_node_count(spec.dims.a, spec.dims.b));  // throws over the cap
   }
 
   for (std::size_t i = 1; i < tokens.size(); ++i) {
@@ -498,18 +416,19 @@ TopologySpec parse_topology_spec(const std::string& topology) {
       OP_REQUIRE(!spec.has_policy, "duplicate routing policy suffix ':"
                                        << tok << "' in '" << topology << "'");
       spec.has_policy = true;
+      using Policy = TopologySpec::Policy;
       if (tok == "xy") {
-        spec.policy = RoutingPolicy::kDimensionOrdered;
+        spec.policy = Policy::kDimensionOrdered;
       } else if (tok == "alt") {
-        spec.policy = RoutingPolicy::kAlternating;
+        spec.policy = Policy::kAlternating;
       } else if (tok == "updown") {
-        spec.policy = RoutingPolicy::kUpDown;
+        spec.policy = Policy::kUpDown;
       } else {
-        spec.policy = RoutingPolicy::kWeightedShortest;
+        spec.policy = Policy::kWeightedShortest;
       }
       const bool compatible =
-          spec.policy == RoutingPolicy::kWeightedShortest ||
-          (spec.policy == RoutingPolicy::kUpDown
+          spec.policy == Policy::kWeightedShortest ||
+          (spec.policy == Policy::kUpDown
                ? spec.kind == TopologySpec::Kind::kFatTree
                : spec.mesh_like());
       OP_REQUIRE(compatible, "policy ':" << tok << "' does not apply to '"
@@ -557,13 +476,36 @@ TopologySpec parse_topology_spec(const std::string& topology) {
   return spec;
 }
 
-/// Final per-item cost of the physical link (u, v): the generator (when
-/// set) transforms the builder's base cost; the result must stay a valid
-/// link cost whatever the generator did.
-double link_cost(const LinkCostFn& cost, ProcId u, ProcId v, int dim,
-                 double base) {
-  if (!cost) return base;
-  const double c = cost(u < v ? u : v, u < v ? v : u, dim, base);
+/// One SplitMix64 draw keyed by (seed, canonical endpoint pair): every
+/// link gets its own independent stream position, so costs are a pure
+/// function of the endpoints regardless of link enumeration order.
+double edge_uniform01(std::uint64_t seed, ProcId u, ProcId v) {
+  const auto a = static_cast<std::uint64_t>(u < v ? u : v);
+  const auto b = static_cast<std::uint64_t>(u < v ? v : u);
+  SplitMix64 rng(seed * 0x9E3779B97F4A7C15ULL + a * 0xBF58476D1CE4E5B9ULL +
+                 b * 0x94D049BB133111EBULL + 0x2545F4914F6CDD1DULL);
+  return rng.uniform01();
+}
+
+/// Salts the ':hot' draw, so a link's hotspot toss is independent of its
+/// ':het' draw under the same topology seed.
+constexpr std::uint64_t kHotSalt = 0xD1B54A32D192ED03ULL;
+
+/// Per-item cost of the physical link u <-> v of dimension `dim` (1 =
+/// column links): `base` under the cost suffixes, in the fixed order
+/// het, hot, aniso.  A repriced cost must stay a valid link cost.
+double suffixed_cost(const TopologySpec& spec, std::uint64_t seed, ProcId u,
+                     ProcId v, int dim, double base) {
+  if (!spec.priced()) return base;
+  double c = base;
+  if (spec.jitter > 0.0) {
+    c = c * (1.0 - spec.jitter +
+             2.0 * spec.jitter * edge_uniform01(seed, u, v));
+  }
+  if (spec.hot > 0.0 && edge_uniform01(seed ^ kHotSalt, u, v) < spec.hot) {
+    c = c * 8.0;
+  }
+  if (dim == 1) c = c * spec.aniso;
   OP_REQUIRE(c > 0.0 && std::isfinite(c),
              "link cost generator returned " << c << " for link P" << u
                                              << " <-> P" << v
@@ -572,35 +514,64 @@ double link_cost(const LinkCostFn& cost, ProcId u, ProcId v, int dim,
   return c;
 }
 
-}  // namespace
+/// Ring, star or line links, each at `link`: every processor i > 0
+/// links to the hub 0 on a star and to i - 1 otherwise; a ring also
+/// links the last processor to the first.
+void add_uniform_links(TopologySpec::Kind kind, double link,
+                       Matrix<double>& m) {
+  const auto connect = [&](std::size_t u, std::size_t v) {
+    m(u, v) = link;
+    m(v, u) = link;
+  };
+  const std::size_t n = m.rows();
+  for (std::size_t i = 1; i < n; ++i) {
+    connect(i, kind == TopologySpec::Kind::kStar ? 0 : i - 1);
+  }
+  if (kind == TopologySpec::Kind::kRing) connect(n - 1, 0);
+}
 
-RoutedPlatform make_mesh2d_platform(std::vector<double> cycle_times, int rows,
-                                    int cols, bool wrap, double link,
-                                    const LinkCostFn& cost,
-                                    RoutingPolicy policy) {
-  OP_REQUIRE(rows >= 1 && cols >= 1, "mesh dimensions must be positive");
-  const long long nodes = static_cast<long long>(rows) * cols;
-  OP_REQUIRE(nodes >= 2, "a mesh needs at least two processors");
-  OP_REQUIRE(nodes <= kMaxTopologyNodes,
-             "mesh exceeds " << kMaxTopologyNodes << " nodes");
-  OP_REQUIRE(cycle_times.size() == static_cast<std::size_t>(nodes),
-             "cycle_times size must equal rows * cols");
-  OP_REQUIRE(link > 0.0 && std::isfinite(link), "link cost must be finite");
-  OP_REQUIRE(policy != RoutingPolicy::kUpDown,
-             "up-down routing needs a tree; meshes take xy, alt, or swp");
-  const auto n = static_cast<std::size_t>(nodes);
+/// Random connected network: a seeded random spanning tree (so every
+/// pair is reachable), then each remaining pair with probability 0.35;
+/// every link costs U[0.5, 1.5) x link.
+void add_random_links(double link, std::uint64_t seed, Matrix<double>& m) {
+  const double lo = 0.5 * link;
+  const double hi = 1.5 * link;
+  OP_REQUIRE(lo > 0.0 && std::isfinite(hi),
+             "link cost range must be positive and finite");
+  const std::size_t n = m.rows();
+  SplitMix64 rng(seed * 0x2545F4914F6CDD1DULL + 0x9E3779B97F4A7C15ULL);
+  // Random spanning tree first (connectivity), extra edges second.
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t parent = rng.below(i);
+    const double cost = rng.uniform(lo, hi);
+    m(i, parent) = cost;
+    m(parent, i) = cost;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      // Always consume one draw per pair so the topology of edge (i, j)
+      // does not shift every later cost when the spanning tree changes.
+      const double toss = rng.uniform01();
+      if (std::isfinite(m(i, j)) || toss >= 0.35) continue;
+      const double cost = rng.uniform(lo, hi);
+      m(i, j) = cost;
+      m(j, i) = cost;
+    }
+  }
+}
+
+/// Row (dimension-0) and column (dimension-1) links of a mesh, plus a
+/// torus's wrap-around links, each priced through suffixed_cost.
+void add_mesh_links(const TopologySpec& spec, double link, std::uint64_t seed,
+                    Matrix<double>& m) {
+  const int rows = spec.dims.a;
+  const int cols = spec.dims.b;
+  const bool wrap = spec.kind == TopologySpec::Kind::kTorus;
   const auto id = [cols](int r, int c) { return r * cols + c; };
-  const auto at = [](int v) { return static_cast<std::size_t>(v); };
-
-  // Row (dimension-0) and column (dimension-1) links, each priced
-  // through the generator so heterogeneous meshes stay a pure function
-  // of the endpoints.
-  Matrix<double> m(n, n, kNoLink);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 0.0;
   const auto connect = [&](int u, int v, int dim) {
-    const double c = link_cost(cost, u, v, dim, link);
-    m(at(u), at(v)) = c;
-    m(at(v), at(u)) = c;
+    const double c = suffixed_cost(spec, seed, u, v, dim, link);
+    m(static_cast<std::size_t>(u), static_cast<std::size_t>(v)) = c;
+    m(static_cast<std::size_t>(v), static_cast<std::size_t>(u)) = c;
   };
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
@@ -614,31 +585,29 @@ RoutedPlatform make_mesh2d_platform(std::vector<double> cycle_times, int rows,
   if (wrap && rows >= 3) {
     for (int c = 0; c < cols; ++c) connect(id(rows - 1, c), id(0, c), 1);
   }
+}
 
-  Platform platform(std::move(cycle_times), std::move(m));
-  if (policy == RoutingPolicy::kWeightedShortest) {
-    // Cost-aware: Floyd-Warshall over the actual (possibly heterogeneous)
-    // link costs, deterministic ties as documented on shortest_paths.
-    RoutingTable routing = RoutingTable::shortest_paths(platform);
-    return {std::move(platform), std::move(routing)};
-  }
-
-  // Structural policies.  kDimensionOrdered corrects the column first,
-  // then the row; kAlternating spreads load by letting each forwarding
-  // node pick its own dimension order by id parity (even = column
-  // first, odd = row first) -- every hop still shortens the remaining
-  // Manhattan/ring distance by one, so routes stay loop-free and
-  // hop-minimal whatever mix of parities a path crosses.  On a torus
-  // each dimension takes the shorter way around; exact antipodes tie
-  // toward the increasing index, so routes are a pure function of the
-  // coordinates.
+/// The dimension-ordered or alternating next hops of a mesh or torus.
+/// kDimensionOrdered corrects the column first, then the row;
+/// kAlternating spreads load by letting each forwarding node pick its own
+/// dimension order by id parity (even = column first, odd = row first)
+/// -- every hop still shortens the remaining Manhattan/ring distance by
+/// one, so routes stay loop-free and hop-minimal whatever mix of
+/// parities a path crosses.  On a torus each dimension takes the shorter
+/// way around; exact antipodes tie toward the increasing index, so
+/// routes are a pure function of the coordinates.
+Matrix<int> mesh_next_hops(const TopologySpec& spec) {
+  const int rows = spec.dims.a;
+  const int cols = spec.dims.b;
+  const bool wrap = spec.kind == TopologySpec::Kind::kTorus;
+  const auto id = [cols](int r, int c) { return r * cols + c; };
   const auto step = [wrap](int from, int to, int size) {
     if (!wrap) return from + (to > from ? 1 : -1);
     const int fwd = ((to - from) % size + size) % size;
     const int back = size - fwd;
     return fwd <= back ? (from + 1) % size : (from + size - 1) % size;
   };
-  Matrix<int> next(n, n, -1);
+  Matrix<int> next(spec.nodes, spec.nodes, -1);
   for (int r1 = 0; r1 < rows; ++r1) {
     for (int c1 = 0; c1 < cols; ++c1) {
       for (int r2 = 0; r2 < rows; ++r2) {
@@ -646,170 +615,142 @@ RoutedPlatform make_mesh2d_platform(std::vector<double> cycle_times, int rows,
           const int u = id(r1, c1);
           const int v = id(r2, c2);
           const bool column_first =
-              policy == RoutingPolicy::kDimensionOrdered || u % 2 == 0;
+              spec.policy == TopologySpec::Policy::kDimensionOrdered ||
+              u % 2 == 0;
           int hop = u;
           if (c1 != c2 && (column_first || r1 == r2)) {
             hop = id(r1, step(c1, c2, cols));
           } else if (r1 != r2) {
             hop = id(step(r1, r2, rows), c1);
           }
-          next(at(u), at(v)) = hop;
+          next(static_cast<std::size_t>(u), static_cast<std::size_t>(v)) = hop;
         }
       }
     }
   }
-
-  RoutingTable routing = checked_structural_table(platform, std::move(next));
-  return {std::move(platform), std::move(routing)};
+  return next;
 }
 
-RoutedPlatform make_fat_tree_platform(std::vector<double> cycle_times,
-                                      int levels, int arity, double taper,
-                                      double link, const LinkCostFn& cost,
-                                      RoutingPolicy policy) {
-  OP_REQUIRE(levels >= 1, "a fat tree needs at least one level below root");
-  OP_REQUIRE(arity >= 2, "fat-tree arity must be at least 2");
-  OP_REQUIRE(taper > 0.0 && std::isfinite(taper),
-             "taper must be positive and finite");
-  OP_REQUIRE(link > 0.0 && std::isfinite(link), "link cost must be finite");
-  OP_REQUIRE(policy == RoutingPolicy::kUpDown ||
-                 policy == RoutingPolicy::kWeightedShortest,
-             "fat trees route up-down or swp; xy/alt need a mesh");
-  const int p = static_cast<int>(fat_tree_node_count(levels, arity));
-  OP_REQUIRE(cycle_times.size() == static_cast<std::size_t>(p),
-             "cycle_times size must equal the fat-tree node count "
-             "(arity^(levels+1) - 1) / (arity - 1) = "
-                 << p);
-  const auto n = static_cast<std::size_t>(p);
+/// Depth and parent (-1 for the root) of every fat-tree node, in
+/// breadth-first id order: level k occupies [offset_k, offset_k +
+/// arity^k).
+struct FatTree {
+  std::vector<int> depth;
+  std::vector<int> parent;
+};
 
-  // Breadth-first ids: level k occupies [offset[k], offset[k+1]).
-  std::vector<int> depth(n, 0);
-  std::vector<int> parent(n, -1);
-  {
-    int offset = 0;
-    int width = 1;
-    for (int k = 0; k <= levels; ++k) {
-      for (int i = 0; i < width; ++i) {
-        const int node = offset + i;
-        depth[static_cast<std::size_t>(node)] = k;
-        if (k > 0) {
-          parent[static_cast<std::size_t>(node)] =
-              offset - (width / arity) + i / arity;
-        }
-      }
-      offset += width;
-      width *= arity;
+FatTree fat_tree_shape(const TopologySpec& spec) {
+  const int levels = spec.dims.a;
+  const int arity = spec.dims.b;
+  FatTree tree{std::vector<int>(spec.nodes, 0),
+               std::vector<int>(spec.nodes, -1)};
+  int offset = 0;
+  int width = 1;
+  for (int k = 0; k <= levels; ++k) {
+    for (int i = 0; i < width; ++i) {
+      const auto node = static_cast<std::size_t>(offset + i);
+      tree.depth[node] = k;
+      if (k > 0) tree.parent[node] = offset - (width / arity) + i / arity;
     }
+    offset += width;
+    width *= arity;
   }
+  return tree;
+}
 
-  // Links taper toward the root: the edge above a depth-d node costs
-  // link / taper^(levels - d), so leaf links cost `link` and every level
-  // up is `taper` times fatter.  The generator (when set) transforms the
-  // tapered base cost per edge; tree edges are all dimension 0.
-  Matrix<double> m(n, n, kNoLink);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 0.0;
-  for (int node = 1; node < p; ++node) {
-    const double base =
-        link / std::pow(taper, levels - depth[static_cast<std::size_t>(node)]);
-    const auto u = static_cast<std::size_t>(node);
-    const auto v = static_cast<std::size_t>(parent[u]);
-    const double c = link_cost(cost, node, parent[u], /*dim=*/0, base);
+/// Tree edges, tapering toward the root: the edge above a depth-d node
+/// costs link / 2^(levels - d) before the cost suffixes; tree edges are
+/// all dimension 0.
+void add_fat_tree_links(const TopologySpec& spec, const FatTree& tree,
+                        double link, std::uint64_t seed, Matrix<double>& m) {
+  for (std::size_t u = 1; u < spec.nodes; ++u) {
+    const double base = link / std::pow(2.0, spec.dims.a - tree.depth[u]);
+    const auto v = static_cast<std::size_t>(tree.parent[u]);
+    const double c = suffixed_cost(spec, seed, static_cast<ProcId>(u),
+                                   tree.parent[u], /*dim=*/0, base);
     m(u, v) = c;
     m(v, u) = c;
   }
+}
 
-  if (policy == RoutingPolicy::kWeightedShortest) {
-    // A tree has a unique simple path per pair, so swp picks the same
-    // hop sequences as up-down -- but through the cost-aware
-    // Floyd-Warshall, exercising the other table-construction path.
-    Platform platform(std::move(cycle_times), std::move(m));
-    RoutingTable routing = RoutingTable::shortest_paths(platform);
-    return {std::move(platform), std::move(routing)};
-  }
-
-  // Up-down routing: climb to the lowest common ancestor, then descend
-  // -- the unique tree path.
+/// Up-down next hops: climb to the lowest common ancestor, then descend
+/// -- the unique tree path.
+Matrix<int> up_down_next_hops(const FatTree& tree) {
+  const auto at = [](int v) { return static_cast<std::size_t>(v); };
   const auto ancestor_at = [&](int v, int d) {
-    while (depth[static_cast<std::size_t>(v)] > d) {
-      v = parent[static_cast<std::size_t>(v)];
-    }
+    while (tree.depth[at(v)] > d) v = tree.parent[at(v)];
     return v;
   };
-  Matrix<int> next(n, n, -1);
+  const int p = static_cast<int>(tree.depth.size());
+  Matrix<int> next(at(p), at(p), -1);
   for (int u = 0; u < p; ++u) {
     for (int v = 0; v < p; ++v) {
-      const int du = depth[static_cast<std::size_t>(u)];
+      const int du = tree.depth[at(u)];
       int hop;
       if (u == v) {
         hop = u;
-      } else if (depth[static_cast<std::size_t>(v)] > du &&
-                 ancestor_at(v, du) == u) {
+      } else if (tree.depth[at(v)] > du && ancestor_at(v, du) == u) {
         hop = ancestor_at(v, du + 1);  // v lives under u: step down
       } else {
-        hop = parent[static_cast<std::size_t>(u)];  // step up toward the LCA
+        hop = tree.parent[at(u)];  // step up toward the LCA
       }
-      next(static_cast<std::size_t>(u), static_cast<std::size_t>(v)) = hop;
+      next(at(u), at(v)) = hop;
     }
   }
-
-  Platform platform(std::move(cycle_times), std::move(m));
-  RoutingTable routing = checked_structural_table(platform, std::move(next));
-  return {std::move(platform), std::move(routing)};
+  return next;
 }
+
+}  // namespace
 
 RoutedPlatform make_topology_platform(const std::string& topology,
                                       std::vector<double> cycle_times,
                                       double link, std::uint64_t seed) {
-  // parse_topology_spec validates everything -- base, dimensions, node
-  // cap (which must run before any node-count-sized allocation), and the
-  // suffix grammar -- so this function only dispatches.
+  // parse_topology_spec validates the name -- base, dimensions, the node
+  // cap (which must run before any node-count-sized allocation), the
+  // suffix grammar and which policies a shape takes -- so nothing below
+  // checks those again.
   const TopologySpec spec = parse_topology_spec(topology);
-  switch (spec.kind) {
-    case TopologySpec::Kind::kRing:
-      return make_ring_platform(std::move(cycle_times), link);
-    case TopologySpec::Kind::kStar:
-      return make_star_platform(std::move(cycle_times), link);
-    case TopologySpec::Kind::kLine:
-      return make_line_platform(std::move(cycle_times), link);
-    case TopologySpec::Kind::kRandom:
-      return make_random_connected_platform(std::move(cycle_times),
-                                            /*edge_probability=*/0.35, seed,
-                                            0.5 * link, 1.5 * link);
-    default:
-      break;
+  using Kind = TopologySpec::Kind;
+  if (spec.structured()) {
+    cycle_times = recycle_cycles(cycle_times, spec.nodes);
+  } else {
+    // An unstructured name takes no suffixes, so it is the bare shape.
+    OP_REQUIRE(cycle_times.size() >= 2,
+               "a " << topology
+                    << (spec.kind == Kind::kRandom ? " network" : "")
+                    << " needs at least two processors");
   }
+  // Random checks its cost range, U[0.5, 1.5) x link, in its place.
+  OP_REQUIRE(spec.kind == Kind::kRandom || (link > 0.0 && std::isfinite(link)),
+             "link cost must be finite");
 
-  // The ':het'/':hot' draws hash the topology seed per edge, so the seed
-  // axis distinguishes heterogeneous instances of the same shape (and
-  // participates in the process_topology_cache key).
-  std::vector<LinkCostFn> fns;
-  if (spec.jitter > 0.0) fns.push_back(linkcost::jitter(spec.jitter, seed));
-  if (spec.hot > 0.0) {
-    fns.push_back(linkcost::hotspot(spec.hot, /*factor=*/8.0, seed));
-  }
-  if (spec.aniso != 1.0) fns.push_back(linkcost::anisotropy(spec.aniso));
-  const LinkCostFn cost = fns.empty()    ? LinkCostFn{}
-                          : fns.size() == 1 ? fns.front()
-                                            : linkcost::compose(std::move(fns));
-
+  const std::size_t n = cycle_times.size();
+  const bool structural =
+      spec.policy != TopologySpec::Policy::kWeightedShortest;
+  Matrix<double> links(n, n, kNoLink);
+  for (std::size_t i = 0; i < n; ++i) links(i, i) = 0.0;
+  Matrix<int> next;  // the structural policies' next hops
   if (spec.mesh_like()) {
-    const auto nodes =
-        static_cast<std::size_t>(spec.dims.a) *
-        static_cast<std::size_t>(spec.dims.b);
-    const bool wrap = spec.kind == TopologySpec::Kind::kTorus;
-    const RoutingPolicy policy =
-        spec.has_policy ? spec.policy : RoutingPolicy::kDimensionOrdered;
-    return make_mesh2d_platform(recycle_cycles(cycle_times, nodes),
-                                spec.dims.a, spec.dims.b, wrap, link, cost,
-                                policy);
+    add_mesh_links(spec, link, seed, links);
+    if (structural) next = mesh_next_hops(spec);
+  } else if (spec.kind == Kind::kFatTree) {
+    const FatTree tree = fat_tree_shape(spec);
+    add_fat_tree_links(spec, tree, link, seed, links);
+    if (structural) next = up_down_next_hops(tree);
+  } else if (spec.kind == Kind::kRandom) {
+    add_random_links(link, seed, links);
+  } else {
+    add_uniform_links(spec.kind, link, links);
   }
-  const auto nodes =
-      static_cast<std::size_t>(fat_tree_node_count(spec.dims.a, spec.dims.b));
-  const RoutingPolicy policy =
-      spec.has_policy ? spec.policy : RoutingPolicy::kUpDown;
-  return make_fat_tree_platform(recycle_cycles(cycle_times, nodes),
-                                spec.dims.a, spec.dims.b, /*taper=*/2.0, link,
-                                cost, policy);
+
+  // Ring, star, line, random and every ':swp' network route on shortest
+  // paths over the links as priced; the others check their structural
+  // table with one fold.
+  Platform platform(std::move(cycle_times), std::move(links));
+  RoutingTable routing =
+      structural ? checked_structural_table(platform, std::move(next))
+                 : RoutingTable::shortest_paths(platform);
+  return {std::move(platform), std::move(routing)};
 }
 
 const std::string& known_topology_names() {

@@ -19,8 +19,6 @@ constexpr std::array<KnobInfo, kNumKnobs> kCatalog = {{
 
 }  // namespace
 
-std::span<const KnobInfo, kNumKnobs> catalog() noexcept { return kCatalog; }
-
 const KnobInfo& info(Knob knob) noexcept {
   return kCatalog[static_cast<std::size_t>(knob)];
 }

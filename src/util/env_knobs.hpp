@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 namespace oneport::env {
 
@@ -41,9 +40,6 @@ struct KnobInfo {
   const char* consumer;
   const char* summary;
 };
-
-/// The full catalog, indexed by Knob, for docs and lint tooling.
-[[nodiscard]] std::span<const KnobInfo, kNumKnobs> catalog() noexcept;
 
 /// Catalog row for one knob.
 [[nodiscard]] const KnobInfo& info(Knob knob) noexcept;

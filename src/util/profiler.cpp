@@ -1,6 +1,7 @@
 #include "util/profiler.hpp"
 
 #include <memory>
+#include <vector>
 
 #include "util/annotations.hpp"
 #include "util/env_knobs.hpp"
@@ -23,8 +24,6 @@ const char* counter_name(Counter c) noexcept {
   }
   return "unknown";
 }
-
-#if !defined(ONEPORT_NO_PROFILER)
 
 namespace detail {
 
@@ -75,21 +74,6 @@ std::size_t slab_count() noexcept {
   return reg.slabs.size();
 }
 
-std::vector<Counts> per_thread() {
-  detail::SlabRegistry& reg = detail::registry();
-  util::MutexLock lock(reg.mutex);
-  std::vector<Counts> out;
-  out.reserve(reg.slabs.size());
-  for (const auto& slab : reg.slabs) {
-    Counts counts{};
-    for (std::size_t i = 0; i < kNumCounters; ++i) {
-      counts[i] = slab->counts[i].load(std::memory_order_relaxed);
-    }
-    out.push_back(counts);
-  }
-  return out;
-}
-
 Counts aggregate() noexcept {
   Counts total{};
   detail::SlabRegistry& reg = detail::registry();
@@ -111,7 +95,5 @@ void reset() noexcept {
     }
   }
 }
-
-#endif  // !ONEPORT_NO_PROFILER
 
 }  // namespace oneport::prof

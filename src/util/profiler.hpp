@@ -4,16 +4,13 @@
 // parallel_for thread latencies).
 //
 // Design constraints, in order:
-//   1. *Provably* zero overhead when compiled out: configuring with
-//      -DONEPORT_PROFILER=OFF defines ONEPORT_NO_PROFILER and every
-//      bump() collapses to an empty inline function.
-//   2. Near-zero overhead when compiled in but disabled (the default):
-//      one relaxed atomic-bool load and a predictable branch per probe.
-//      No slab is ever allocated while disabled -- which is what the
-//      profiler-off pin test and the bench OP_ASSERT check, since "no
-//      counter ever moved and no slab ever existed" is a property a test
-//      can prove, unlike a wall-clock delta.
-//   3. Scalable when enabled: each thread bumps its own alignas(64) slab
+//   1. Near-zero overhead when disabled (the default): one relaxed
+//      atomic-bool load and a predictable branch per probe.  No slab is
+//      ever allocated while disabled -- which is what the profiler-off
+//      pin test and the bench OP_ASSERT check, since "no counter ever
+//      moved and no slab ever existed" is a property a test can prove,
+//      unlike a wall-clock delta.
+//   2. Scalable when enabled: each thread bumps its own alignas(64) slab
 //      (no false sharing, no locks on the hot path); slabs register once
 //      under a mutex and are aggregated only at quiescence points
 //      (bench teardown, sweep end).
@@ -28,7 +25,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace oneport::prof {
 
@@ -57,21 +53,8 @@ inline constexpr std::size_t kNumCounters =
 /// counter key (prefixed with "prof_" by the emitters).
 [[nodiscard]] const char* counter_name(Counter c) noexcept;
 
-/// One aggregated (or per-thread) counter vector.
+/// One aggregated counter vector.
 using Counts = std::array<std::uint64_t, kNumCounters>;
-
-#if defined(ONEPORT_NO_PROFILER)
-
-[[nodiscard]] inline bool compiled_in() noexcept { return false; }
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-inline void bump(Counter, std::uint64_t = 1) noexcept {}
-[[nodiscard]] inline std::size_t slab_count() noexcept { return 0; }
-[[nodiscard]] inline std::vector<Counts> per_thread() { return {}; }
-[[nodiscard]] inline Counts aggregate() noexcept { return Counts{}; }
-inline void reset() noexcept {}
-
-#else
 
 namespace detail {
 
@@ -91,6 +74,8 @@ void bump_slow(Counter c, std::uint64_t n) noexcept;
 
 }  // namespace detail
 
+/// Always true: every build compiles the profiler in.  Kept because the
+/// repository benchmark prints it in its run context.
 [[nodiscard]] inline bool compiled_in() noexcept { return true; }
 
 [[nodiscard]] inline bool enabled() noexcept {
@@ -110,17 +95,12 @@ inline void bump(Counter c, std::uint64_t n = 1) noexcept {
 /// counter while enabled; slabs persist for the process lifetime).
 [[nodiscard]] std::size_t slab_count() noexcept;
 
-/// Snapshot of every registered slab, one Counts per thread, in
-/// registration order.  Meaningful at quiescence (no worker mid-bump).
-[[nodiscard]] std::vector<Counts> per_thread();
-
-/// Sum of per_thread().
+/// Sum of every registered slab.  Meaningful at quiescence (no worker
+/// mid-bump).
 [[nodiscard]] Counts aggregate() noexcept;
 
 /// Zeroes every registered slab (the slabs stay registered).
 void reset() noexcept;
-
-#endif  // ONEPORT_NO_PROFILER
 
 /// RAII enable/disable for tests and benches; restores the previous
 /// state and resets the counters it produced on destruction when asked.

@@ -51,7 +51,8 @@ TEST(MinMin, ValidOnTestbedsBothModels) {
 
 TEST(MinMin, SupportsRouting) {
   const TaskGraph g = testbeds::make_stencil(6, 4.0);
-  const RoutedPlatform ring = make_ring_platform({1, 1, 2, 2}, 1.0);
+  const RoutedPlatform ring =
+      make_topology_platform("ring", {1, 1, 2, 2}, 1.0);
   const Schedule s = min_min(g, ring.platform,
                              {.model = CommModel::kOnePort,
                               .routing = &ring.routing});

@@ -128,7 +128,6 @@ TEST(TopologyCacheStress, ShardedSingletonHoldsAcrossWideKeySet) {
 // ------------------------------------------------ profiler slab registry
 
 TEST(ProfilerStress, ConcurrentBumpsAggregateExactly) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "profiler compiled out";
   const prof::Counts before = prof::aggregate();
   {
     prof::ScopedProfiler scoped(true);

@@ -143,7 +143,8 @@ TEST(EftEngine, BuildScheduleIsValid) {
 
 TEST(EftEngine, RejectsMismatchedRoutingTable) {
   Fixture f;
-  const RoutedPlatform ring = make_ring_platform({1, 1, 1, 1}, 1.0);  // p=4
+  const RoutedPlatform ring =
+      make_topology_platform("ring", {1, 1, 1, 1}, 1.0);  // p=4
   EXPECT_THROW(
       EftEngine(f.graph, f.platform, CommModel::kOnePort,
                 &ring.routing),
@@ -281,7 +282,6 @@ ScanTotals scan_totals(const std::vector<testsupport::Scenario>& scenarios,
 // the order of probes, evaluations and prunes shows here even when
 // every schedule stays the same.
 TEST(EftEngineExactPruning, ScanCountsMatchRecordedTotals) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const std::vector<testsupport::Scenario> routed =
       testsupport::routed_scale_scenarios();
   const std::vector<testsupport::Scenario> tied = tied_scenarios();
@@ -308,7 +308,8 @@ TEST(EftEngineExactPruning, ScanCountsMatchRecordedTotals) {
 // A table with a routing loop and a hole still builds, and so does an
 // engine over it; only walking a broken route raises, as path_into does.
 TEST(EftEngineExactPruning, BrokenTableBuildsAndThrowsOnlyOnUse) {
-  const RoutedPlatform ring = make_ring_platform({1.0, 1.0, 1.0, 1.0});
+  const RoutedPlatform ring =
+      make_topology_platform("ring", {1.0, 1.0, 1.0, 1.0});
   Matrix<int> next = ring.routing.next_hops();
   next(0, 2) = 1;  // 0 -> 1 -> 0 -> ... toward P2
   next(1, 2) = 0;

@@ -52,7 +52,8 @@ Scenario star_scenario() {
   g.add_task(1.0);
   g.add_edge(0, 1, 3.0);
   g.finalize();
-  RoutedPlatform star = make_star_platform({5.0, 1.0, 1.0, 1.0}, 1.0);
+  RoutedPlatform star =
+      make_topology_platform("star", {5.0, 1.0, 1.0, 1.0}, 1.0);
   return Scenario{1, "fault/star-chain", std::move(g),
                   std::move(star.platform), std::move(star.routing)};
 }
@@ -72,7 +73,8 @@ Scenario ring_scenario() {
   g.add_task(1.0);
   g.add_edge(0, 1, 3.0);
   g.finalize();
-  RoutedPlatform ring = make_ring_platform({1.0, 1.0, 1.0, 1.0}, 1.0);
+  RoutedPlatform ring =
+      make_topology_platform("ring", {1.0, 1.0, 1.0, 1.0}, 1.0);
   return Scenario{3, "fault/ring-chain", std::move(g),
                   std::move(ring.platform), std::move(ring.routing)};
 }

@@ -78,7 +78,6 @@ TEST(Profiler, CounterNamesAreStableSnakeCase) {
 }
 
 TEST(Profiler, ScopedProfilerRestoresPreviousState) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const bool before = prof::enabled();
   {
     prof::ScopedProfiler guard(true);
@@ -97,7 +96,6 @@ TEST(Profiler, ScopedProfilerRestoresPreviousState) {
 // counters must have moved (every placement probes at least one
 // processor timeline).
 TEST(Profiler, CountersTrackOneScheduleRunExactly) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const Scenario scenario = make_scenario();
   prof::ScopedProfiler guard(true);
   prof::reset();
@@ -113,7 +111,6 @@ TEST(Profiler, CountersTrackOneScheduleRunExactly) {
 }
 
 TEST(Profiler, ResetZeroesEveryRegisteredSlab) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const Scenario scenario = make_scenario();
   prof::ScopedProfiler guard(true);
   (void)run_heft(scenario);
@@ -129,7 +126,6 @@ TEST(Profiler, ResetZeroesEveryRegisteredSlab) {
 }
 
 TEST(Profiler, PoolJobsAreCountedWithWallTime) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   prof::ScopedProfiler guard(true);
   prof::reset();
   const auto pool_tasks = [] {
@@ -149,7 +145,6 @@ TEST(Profiler, PoolJobsAreCountedWithWallTime) {
 // (graph, platform, heuristic) input must yield bit-identical schedules
 // with the profiler on and off, for every registered heuristic.
 TEST(Profiler, SchedulesAreBitIdenticalProfilerOnVsOff) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   for (const Scenario& scenario : testsupport::scenario_sweep(7307, 4)) {
     for (const SchedulerEntry& entry : builtin_schedulers(
              SchedulerConfig{.ilha_chunk_size = 5,

@@ -29,7 +29,8 @@ double route_cost(const RoutedPlatform& routed, ProcId q, ProcId r) {
 }
 
 TEST(RoutingTable, RingPaths) {
-  const RoutedPlatform ring = make_ring_platform({1, 1, 1, 1, 1}, 2.0);
+  const RoutedPlatform ring =
+      make_topology_platform("ring", {1, 1, 1, 1, 1}, 2.0);
   EXPECT_EQ(ring.routing.path(0, 1).size(), 2u);
   EXPECT_EQ(ring.routing.path(0, 4).size(), 2u);  // wrap-around neighbour
   EXPECT_EQ(ring.routing.path(0, 2).size(), 3u);
@@ -41,7 +42,7 @@ TEST(RoutingTable, RingPaths) {
 }
 
 TEST(RoutingTable, StarRoutesThroughHub) {
-  const RoutedPlatform star = make_star_platform({1, 1, 1, 1}, 1.0);
+  const RoutedPlatform star = make_topology_platform("star", {1, 1, 1, 1}, 1.0);
   EXPECT_EQ(star.routing.path(1, 3), (std::vector<ProcId>{1, 0, 3}));
   EXPECT_EQ(star.routing.path(0, 2), (std::vector<ProcId>{0, 2}));
   EXPECT_DOUBLE_EQ(route_cost(star, 1, 3), 2.0);
@@ -56,22 +57,20 @@ TEST(RoutingTable, DisconnectedNetworkRejected) {
 }
 
 TEST(RoutingTable, LineAndTwoNodePaths) {
-  const RoutedPlatform line = make_line_platform({1, 1, 1, 1}, 1.0);
+  const RoutedPlatform line = make_topology_platform("line", {1, 1, 1, 1}, 1.0);
   EXPECT_EQ(line.routing.path(0, 3), (std::vector<ProcId>{0, 1, 2, 3}));
   EXPECT_EQ(line.routing.path(3, 1), (std::vector<ProcId>{3, 2, 1}));
   EXPECT_DOUBLE_EQ(route_cost(line, 0, 3), 3.0);
 
-  const RoutedPlatform cable = make_line_platform({2, 3}, 0.5);
+  const RoutedPlatform cable = make_topology_platform("line", {2, 3}, 0.5);
   EXPECT_EQ(cable.routing.path(0, 1), (std::vector<ProcId>{0, 1}));
   EXPECT_EQ(cable.routing.path(1, 0), (std::vector<ProcId>{1, 0}));
 }
 
 TEST(RoutingTable, RandomConnectedIsConnectedAndDeterministic) {
   const std::vector<double> cycles{1, 1, 2, 2, 3, 3};
-  const RoutedPlatform a =
-      make_random_connected_platform(cycles, 0.3, 42, 0.5, 2.0);
-  const RoutedPlatform b =
-      make_random_connected_platform(cycles, 0.3, 42, 0.5, 2.0);
+  const RoutedPlatform a = make_topology_platform("random", cycles, 1.0, 42);
+  const RoutedPlatform b = make_topology_platform("random", cycles, 1.0, 42);
   for (ProcId q = 0; q < 6; ++q) {
     for (ProcId r = 0; r < 6; ++r) {
       // Connectivity is guaranteed by the spanning tree ...
@@ -135,7 +134,7 @@ TEST(RoutingTable, ExactComparisonCatchesTinyImprovements) {
 TEST(RoutingTable, EqualCostTieBreaksAreDeterministic) {
   // Even ring: both directions to the antipode cost the same; the route
   // through the smaller neighbour wins.
-  const RoutedPlatform ring = make_ring_platform({1, 1, 1, 1}, 1.0);
+  const RoutedPlatform ring = make_topology_platform("ring", {1, 1, 1, 1}, 1.0);
   EXPECT_EQ(ring.routing.path(0, 2), (std::vector<ProcId>{0, 1, 2}));
   EXPECT_EQ(ring.routing.path(1, 3), (std::vector<ProcId>{1, 0, 3}));
   EXPECT_EQ(ring.routing.path(3, 1), (std::vector<ProcId>{3, 0, 1}));
@@ -204,7 +203,8 @@ TEST(RouteCostFold, EqualsHopSumsAlongEveryPath) {
 // fold leaves exactly the pairs whose hop chain never reaches the
 // destination at +inf in both matrices, and costs every other pair.
 TEST(RouteCostFold, BrokenRoutesStayInfinite) {
-  const RoutedPlatform ring = make_ring_platform({1, 1, 1, 1, 1}, 1.0);
+  const RoutedPlatform ring =
+      make_topology_platform("ring", {1, 1, 1, 1, 1}, 1.0);
   Matrix<int> next = ring.routing.next_hops();
   next(0, 2) = 1;  // loop: 0 -> 1 -> 0 -> ... toward P2
   next(1, 2) = 0;
@@ -240,8 +240,7 @@ TEST(RouteCostFold, BrokenRoutesStayInfinite) {
 
 TEST(StructuredTopologies, Mesh3x3XYGoldenRoutes) {
   const RoutedPlatform mesh =
-      make_mesh2d_platform(std::vector<double>(9, 1.0), 3, 3,
-                           /*wrap=*/false, 1.0);
+      make_topology_platform("mesh3x3", std::vector<double>(9, 1.0));
   // Dimension-ordered: the column is corrected first, then the row.
   EXPECT_EQ(mesh.routing.path(0, 8), (std::vector<ProcId>{0, 1, 2, 5, 8}));
   EXPECT_EQ(mesh.routing.path(6, 2), (std::vector<ProcId>{6, 7, 8, 5, 2}));
@@ -256,8 +255,7 @@ TEST(StructuredTopologies, Mesh3x3XYGoldenRoutes) {
 
 TEST(StructuredTopologies, Torus3x3WraparoundGoldenRoutes) {
   const RoutedPlatform torus =
-      make_mesh2d_platform(std::vector<double>(9, 1.0), 3, 3,
-                           /*wrap=*/true, 1.0);
+      make_topology_platform("torus3x3", std::vector<double>(9, 1.0));
   // Each dimension takes the shorter way around the ring.
   EXPECT_EQ(torus.routing.path(0, 2), (std::vector<ProcId>{0, 2}));
   EXPECT_EQ(torus.routing.path(0, 6), (std::vector<ProcId>{0, 6}));
@@ -277,9 +275,8 @@ TEST(StructuredTopologies, TorusAntipodeTieTakesIncreasingDirection) {
 }
 
 TEST(StructuredTopologies, FatTree2x2UpDownGoldenRoutes) {
-  const RoutedPlatform tree = make_fat_tree_platform(
-      std::vector<double>(7, 1.0), /*levels=*/2, /*arity=*/2,
-      /*taper=*/2.0, /*link=*/1.0);
+  const RoutedPlatform tree =
+      make_topology_platform("fattree2x2", std::vector<double>(7, 1.0));
   EXPECT_EQ(tree.platform.num_processors(), 7);
   // Siblings meet at their parent; cousins climb through the root.
   EXPECT_EQ(tree.routing.path(3, 4), (std::vector<ProcId>{3, 1, 4}));
@@ -410,7 +407,8 @@ TEST(RoutedScheduling, ChainMessagesValidate) {
   g.add_task(1.0);
   g.add_edge(0, 1, 3.0);
   g.finalize();
-  const RoutedPlatform star = make_star_platform({5.0, 1.0, 1.0}, 1.0);
+  const RoutedPlatform star =
+      make_topology_platform("star", {5.0, 1.0, 1.0}, 1.0);
   // Force the chain across spokes with a fixed allocation (the hub is so
   // slow that EFT would otherwise avoid hopping).
   const Schedule s = reschedule_fixed_allocation(
@@ -425,8 +423,8 @@ TEST(RoutedScheduling, ChainMessagesValidate) {
 TEST(RoutedScheduling, HeuristicsValidOnRingAndStar) {
   const TaskGraph g = testbeds::make_stencil(8, 4.0);
   for (const auto& routed :
-       {make_ring_platform({1, 1, 2, 2, 3}, 1.0),
-        make_star_platform({1, 1, 2, 2, 3}, 1.0)}) {
+       {make_topology_platform("ring", {1, 1, 2, 2, 3}, 1.0),
+        make_topology_platform("star", {1, 1, 2, 2, 3}, 1.0)}) {
     const Schedule hs = heft(g, routed.platform,
                              {.model = CommModel::kOnePort,
                               .routing = &routed.routing});
@@ -444,7 +442,7 @@ TEST(RoutedScheduling, HeuristicsValidOnRingAndStar) {
 
 TEST(RoutedScheduling, MacroModelSupportsRoutingToo) {
   const TaskGraph g = testbeds::make_lu(8, 4.0);
-  const RoutedPlatform ring = make_ring_platform({1, 1, 2, 2}, 1.0);
+  const RoutedPlatform ring = make_topology_platform("ring", {1, 1, 2, 2}, 1.0);
   const Schedule s = heft(g, ring.platform,
                           {.model = CommModel::kMacroDataflow,
                            .routing = &ring.routing});
@@ -454,7 +452,8 @@ TEST(RoutedScheduling, MacroModelSupportsRoutingToo) {
 
 TEST(RoutedScheduling, ReplayHandlesHopChains) {
   const TaskGraph g = testbeds::make_laplace(6, 4.0);
-  const RoutedPlatform ring = make_ring_platform({1, 1, 1, 2, 2}, 1.0);
+  const RoutedPlatform ring =
+      make_topology_platform("ring", {1, 1, 1, 2, 2}, 1.0);
   const Schedule s = heft(g, ring.platform,
                           {.model = CommModel::kOnePort,
                            .routing = &ring.routing});
@@ -469,7 +468,8 @@ TEST(RoutedScheduling, MissingLinkWithoutRoutingThrows) {
   g.add_task(1.0);
   g.add_edge(0, 1, 1.0);
   g.finalize();
-  const RoutedPlatform star = make_star_platform({5.0, 1.0, 1.0}, 1.0);
+  const RoutedPlatform star =
+      make_topology_platform("star", {5.0, 1.0, 1.0}, 1.0);
   // Forcing a spoke-to-spoke transfer without a routing table must fail
   // loudly rather than schedule an infinite-duration message.
   EXPECT_THROW(reschedule_fixed_allocation(g, star.platform, {1, 2},
@@ -485,7 +485,7 @@ TEST(RoutedScheduling, SparserNetworkIsNeverFaster) {
   const TaskGraph g = testbeds::make_doolittle(10, 5.0);
   const std::vector<double> cycles{1, 1, 2, 2, 3};
   const Platform full(cycles, 1.0);
-  const RoutedPlatform ring = make_ring_platform(cycles, 1.0);
+  const RoutedPlatform ring = make_topology_platform("ring", cycles, 1.0);
   const Schedule full_s = heft(g, full, {.model = CommModel::kOnePort});
   const Schedule ring_s = heft(g, ring.platform,
                                {.model = CommModel::kOnePort,

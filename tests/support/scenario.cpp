@@ -164,7 +164,8 @@ std::vector<Scenario> routed_scenario_sweep(std::uint64_t base_seed, int count,
     }
     RoutedPlatform routed =
         topology == "two-node"
-            ? make_line_platform({cycle[0], cycle[1 % cycle.size()]}, link)
+            ? make_topology_platform("line",
+                                     {cycle[0], cycle[1 % cycle.size()]}, link)
             : make_topology_platform(topology, std::move(cycle), link, seed);
 
     Scenario s{seed,

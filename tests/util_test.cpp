@@ -208,6 +208,32 @@ TEST(Args, MalformedNumbersAreRejected) {
   EXPECT_THROW((void)parse_int_flag("sizes", "40 "), std::invalid_argument);
 }
 
+// A seed is all of one unsigned 64-bit token: a sign, bytes after the
+// digits or a value of 2^64 or more is rejected, not wrapped.
+TEST(Args, U64FlagsAreWholeUnsignedTokens) {
+  const char* argv[] = {"prog", "--max=18446744073709551615", "--neg=-1",
+                        "--plus=+3", "--over=18446744073709551616",
+                        "--trailing=7x", "--empty="};
+  const Args args(7, argv);
+  EXPECT_EQ(args.get_u64("max", 1), 18446744073709551615ULL);
+  EXPECT_EQ(args.get_u64("absent", 9), 9u);
+  for (const char* key : {"neg", "plus", "over", "trailing", "empty"}) {
+    EXPECT_THROW((void)args.get_u64(key, 1), std::invalid_argument) << key;
+  }
+  try {
+    (void)args.get_u64("neg", 1);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--neg expects an unsigned integer, got '-1'");
+  }
+}
+
+TEST(Args, ListsSplitOnCommasAndSizesArePositive) {
+  EXPECT_EQ(split_list("a,,b,"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(split_ints("sizes", "40,,100"), (std::vector<int>{40, 100}));
+  EXPECT_THROW((void)split_ints("sizes", "40,0"), std::invalid_argument);
+  EXPECT_THROW((void)split_ints("sizes", "40,2x"), std::invalid_argument);
+}
+
 TEST(Args, NoArgumentsIsEmpty) {
   const char* argv[] = {"prog"};
   const Args args(1, argv);
